@@ -6,6 +6,13 @@ explicit flags.  The effective configuration is echoed into every
 report, and rerunning from an echoed configuration reproduces the
 report byte for byte except for wall_time.
 
+One table drives the parser and the layering: a catalogue declares each
+config key once (its flag, spelled --<key with - for _>, its help, and
+the JSON types a config file may give it), and a command table lists per
+subcommand its handler, its I/O flags and the keys it takes with their
+defaults.  Config-file values are checked against the catalogue, never
+converted, so a bad one is a usage error.
+
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
@@ -15,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_SYMMETRY_TOL,
@@ -76,6 +83,82 @@ def _write_text(path: str | None, text: str) -> None:
             fp.write(text)
 
 
+# ---------------------------------------------------------------------------
+# option catalogue: every config key once
+# ---------------------------------------------------------------------------
+
+
+class _Key(NamedTuple):
+    json_types: tuple  # what a config file may give; checked, never converted
+    flag: dict         # argparse keywords of --<key with - for _>
+    help: str
+
+
+_INT = (int,)
+_NUMBER = (int, float)
+_OR_NULL = (type(None),)
+_BOOL = (bool,)
+_FLOAT_FLAG = {"type": float}
+_INT_FLAG = {"type": int}
+_SWITCH = {"action": argparse.BooleanOptionalAction}
+
+_KEYS = {
+    "n": _Key(_INT, _INT_FLAG, "state dimension"),
+    "m": _Key(_INT, _INT_FLAG, "input dimension"),
+    "field": _Key((str,), {"choices": ("real", "complex")}, "scalar field"),
+    "kind": _Key((str,), {"choices": ("ph", "pht", "uncontrollable")},
+                 "H positive definite, H indefinite, or k unreachable states"),
+    "k": _Key(_INT, _INT_FLAG, "unreachable states (kind=uncontrollable)"),
+    "h_law": _Key((str,), {"choices": ("wishart", "shifted-gram")},
+                  "law of H (a config file may also write shifted_gram)"),
+    "wishart_p": _Key(_INT + _OR_NULL, _INT_FLAG, "Wishart degrees of freedom (n if unset)"),
+    "gram_eps": _Key(_NUMBER, _FLOAT_FLAG, "spectral floor of the shifted-Gram law"),
+    "j_scale": _Key(_NUMBER, _FLOAT_FLAG, "scale of J"),
+    "b_scale": _Key(_NUMBER, _FLOAT_FLAG, "scale of B"),
+    "seed": _Key(_INT, _INT_FLAG, "master seed"),
+    "count": _Key(_INT, _INT_FLAG, "number of systems, at least 1"),
+    "trials": _Key(_INT, _INT_FLAG, "number of draws"),
+    "cross_check": _Key(_BOOL, _SWITCH, "also run the PBH test on every draw"),
+    "rank_rel_tol": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG,
+                         "SVD rank threshold relative to sigma_max"),
+    "eps_grid": _Key((str, list), {},
+                     "comma-separated step sizes, e.g. 0,1e-8,1e-4 (a config "
+                     "file may give a list)"),
+    "trials_per_eps": _Key(_INT, _INT_FLAG, "perturbations per step size"),
+    "max_retries": _Key(_INT, _INT_FLAG, "step halvings allowed per perturbation"),
+    "tol": _Key(_NUMBER, _FLOAT_FLAG, "symmetry residual gate"),
+    "ph": _Key(_BOOL, _SWITCH, "also require H positive definite"),
+    "delta": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG, "positive definiteness margin"),
+    "pbh_tol": _Key(_NUMBER, _FLOAT_FLAG, "PBH threshold relative to ||JH|| + ||B||"),
+    "grid_points": _Key(_INT, _INT_FLAG, "grid points per axis"),
+    "refine_levels": _Key(_INT, _INT_FLAG, "grid refinement levels"),
+    "margin": _Key(_NUMBER, _FLOAT_FLAG, "grid half-width beyond ||JH||"),
+    "i_max": _Key(_INT, _INT_FLAG, "number of intervals"),
+    "x": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG, "point to test for coverage"),
+}
+
+# input/output flags, which are not config keys
+_IO_FLAGS = {
+    "in": (("--in",), {"dest": "infile", "help": "input path, - for stdin"}),
+    "out": (("--out", "-o"), {"help": "output path, - for stdout"}),
+    "json": (("--json",), {"dest": "json_out", "metavar": "PATH",
+                           "help": "write the JSON report to PATH"}),
+    "csv": (("--csv",), {"dest": "csv_out", "metavar": "PATH",
+                         "help": "write the CSV table to PATH"}),
+}
+
+
+def _check_config_value(path: str, key: str, value) -> None:
+    spec = _KEYS[key]
+    ok = type(value) in spec.json_types
+    if ok and "choices" in spec.flag:
+        ok = value.replace("_", "-") in spec.flag["choices"]
+    if ok and type(value) is list:
+        ok = all(type(x) in _NUMBER for x in value)
+    if not ok:
+        raise _UsageError(f"config file {path}: invalid value {value!r} for {key}")
+
+
 def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge defaults, PHGEN_SEED, the --config file, and explicit flags."""
     cfg = dict(defaults)
@@ -85,7 +168,7 @@ def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
             cfg["seed"] = int(env_seed)
         except ValueError:
             raise _UsageError(f"PHGEN_SEED must be an integer, got {env_seed!r}")
-    config_path = getattr(args, "config", None)
+    config_path = args.config
     if config_path:
         with open(config_path) as fp:
             try:
@@ -99,14 +182,16 @@ def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise _UsageError(
                 f"config file {config_path} has unknown keys: {sorted(unknown)}"
             )
+        for key, value in data.items():
+            _check_config_value(config_path, key, value)
         cfg.update(data)
     for key in defaults:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
-    if "h_law" in cfg and isinstance(cfg["h_law"], str):
+    if "h_law" in cfg:
         cfg["h_law"] = cfg["h_law"].replace("-", "_")
-    if "eps_grid" in cfg and isinstance(cfg["eps_grid"], str):
+    if isinstance(cfg.get("eps_grid"), str):
         try:
             cfg["eps_grid"] = [float(tok) for tok in cfg["eps_grid"].split(",") if tok.strip()]
         except ValueError:
@@ -116,11 +201,9 @@ def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 def _sampler_spec(cfg: dict) -> SamplerSpec:
     if cfg["h_law"] == "wishart":
-        law = Wishart(cfg.get("wishart_p"))
-    elif cfg["h_law"] == "shifted_gram":
-        law = ShiftedGram(cfg.get("gram_eps", 1.0))
+        law = Wishart(cfg["wishart_p"])
     else:
-        raise _UsageError(f"unknown H law {cfg['h_law']!r}")
+        law = ShiftedGram(cfg["gram_eps"])
     return SamplerSpec(
         dims=Dims(cfg["n"], cfg["m"]),
         field=ScalarField(cfg["field"]),
@@ -136,17 +219,13 @@ def _sampler_spec(cfg: dict) -> SamplerSpec:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args, {"n": 2, "m": 1})
+def _cmd_witness(args: argparse.Namespace, cfg: dict) -> int:
     system = canonical_witness(cfg["n"], cfg["m"])
     _write_text(args.out, dumps_system(system, indent=2) + "\n")
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _effective_config(
-        args, {"tol": DEFAULT_SYMMETRY_TOL, "ph": False, "delta": None}
-    )
+def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
     system = system_from_dict(_read_json_input(args.infile), tol=cfg["tol"])
     message = "valid structured system (J skew-adjoint, H self-adjoint)"
     if cfg["ph"]:
@@ -157,28 +236,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pack(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args, {"tol": DEFAULT_SYMMETRY_TOL})
+def _cmd_pack(args: argparse.Namespace, cfg: dict) -> int:
     system = system_from_dict(_read_json_input(args.infile), tol=cfg["tol"])
     _write_text(args.out, dumps_packed(pack(system), indent=2) + "\n")
     return 0
 
 
-def _cmd_unpack(args: argparse.Namespace) -> int:
+def _cmd_unpack(args: argparse.Namespace, cfg: dict) -> int:
     v = packed_from_dict(_read_json_input(args.infile))
     _write_text(args.out, dumps_system(unpack(v), indent=2) + "\n")
     return 0
 
 
-_SAMPLE_DEFAULTS = {
-    "n": 2, "m": 1, "field": "real", "kind": "ph", "k": 1,
-    "h_law": "wishart", "wishart_p": None, "gram_eps": 1.0,
-    "j_scale": 1.0, "b_scale": 1.0, "seed": 0, "count": 1,
-}
-
-
-def _cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args, _SAMPLE_DEFAULTS)
+def _cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
+    if cfg["count"] < 1:
+        raise _UsageError(f"count must be at least 1, got {cfg['count']}")
     spec = _sampler_spec(cfg)
     lines = []
     for i in range(cfg["count"]):
@@ -187,22 +259,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             system = sample_ph(spec, rng)
         elif cfg["kind"] == "pht":
             system = sample_pht(spec, rng)
-        elif cfg["kind"] == "uncontrollable":
+        else:
             system = sample_uncontrollable(
                 spec.dims, cfg["k"], rng, spec.field,
                 j_scale=cfg["j_scale"], b_scale=cfg["b_scale"],
             )
-        else:
-            raise _UsageError(f"unknown sample kind {cfg['kind']!r}")
         lines.append(json.dumps(system_to_dict(system), separators=(",", ":")))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args, {
-        "tol": DEFAULT_SYMMETRY_TOL, "rank_rel_tol": None, "pbh_tol": DEFAULT_PBH_TOL,
-    })
+def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
     system = system_from_dict(_read_json_input(args.infile), tol=cfg["tol"])
     report = rank_svd(kalman_matrix(system), cfg["rank_rel_tol"])
     pbh = pbh_check(system, cfg["pbh_tol"])
@@ -217,16 +284,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-_MC_DEFAULTS = {
-    "n": 4, "m": 2, "field": "real",
-    "h_law": "wishart", "wishart_p": None, "gram_eps": 1.0,
-    "j_scale": 1.0, "b_scale": 1.0, "seed": 0,
-    "trials": 1000, "cross_check": False, "rank_rel_tol": None,
-}
-
-
-def _cmd_mc_genericity(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args, _MC_DEFAULTS)
+def _cmd_mc_genericity(args: argparse.Namespace, cfg: dict) -> int:
     spec = _sampler_spec(cfg)
     echo = {"subcommand": "mc-genericity", **cfg}
     report = run_genericity_trial(
@@ -263,15 +321,7 @@ def _cmd_mc_genericity(args: argparse.Namespace) -> int:
     return 0
 
 
-_PROBE_DEFAULTS = {
-    "n": 3, "k": 1, "m": 1, "field": "real",
-    "eps_grid": DEFAULT_EPS_GRID, "trials_per_eps": 500,
-    "seed": 0, "max_retries": 60, "rank_rel_tol": None,
-}
-
-
-def _cmd_perturb_probe(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args, _PROBE_DEFAULTS)
+def _cmd_perturb_probe(args: argparse.Namespace, cfg: dict) -> int:
     base = sample_uncontrollable(
         Dims(cfg["n"], cfg["m"]), cfg["k"], stream(cfg["seed"]),
         ScalarField(cfg["field"]),
@@ -300,11 +350,7 @@ def _cmd_perturb_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dist_unctrb(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args, {
-        "tol": DEFAULT_SYMMETRY_TOL, "grid_points": 41,
-        "refine_levels": 16, "margin": 1.0,
-    })
+def _cmd_dist_unctrb(args: argparse.Namespace, cfg: dict) -> int:
     system = system_from_dict(_read_json_input(args.infile), tol=cfg["tol"])
     estimate = distance_to_uncontrollability(
         system,
@@ -330,8 +376,7 @@ def _cmd_dist_unctrb(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_prop1(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args, {"i_max": 1000, "x": None})
+def _cmd_prop1(args: argparse.Namespace, cfg: dict) -> int:
     measure = prop1_partial_measure(cfg["i_max"])
     print(f"partial measure of the first {cfg['i_max']} intervals: {measure!r}")
     print(f"limit pi^2/3 = {PI_SQUARED_THIRD!r} (gap {PI_SQUARED_THIRD - measure:.6e})")
@@ -359,8 +404,58 @@ def _cmd_prop1(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 # ---------------------------------------------------------------------------
+
+# defaults of the sampler keys that sample and mc-genericity share
+_SAMPLER_DEFAULTS = {
+    "field": "real", "h_law": "wishart", "wishart_p": None, "gram_eps": 1.0,
+    "j_scale": 1.0, "b_scale": 1.0, "seed": 0,
+}
+
+
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace, dict], int]
+    help: str
+    io: tuple[str, ...]
+    defaults: dict  # the config keys the command takes, in flag order
+
+
+_COMMANDS = {
+    "witness": _Command(_cmd_witness, "emit the canonical controllable system",
+                        ("out",), {"n": 2, "m": 1}),
+    "validate": _Command(_cmd_validate,
+                         "validate a system JSON and emit its normalized form",
+                         ("in", "out"),
+                         {"tol": DEFAULT_SYMMETRY_TOL, "ph": False, "delta": None}),
+    "pack": _Command(_cmd_pack, "system JSON to flat coordinate vector",
+                     ("in", "out"), {"tol": DEFAULT_SYMMETRY_TOL}),
+    "unpack": _Command(_cmd_unpack, "flat coordinate vector to system JSON",
+                       ("in", "out"), {}),
+    "sample": _Command(_cmd_sample, "draw random systems as JSON lines", ("out",), {
+        "n": 2, "m": 1, "kind": "ph", "k": 1, **_SAMPLER_DEFAULTS, "count": 1,
+    }),
+    "check": _Command(_cmd_check, "controllability verdict for a system JSON",
+                      ("in", "out"), {"tol": DEFAULT_SYMMETRY_TOL,
+                                      "rank_rel_tol": None, "pbh_tol": DEFAULT_PBH_TOL}),
+    "mc-genericity": _Command(
+        _cmd_mc_genericity, "Monte Carlo controllable fraction under random draws",
+        ("json", "csv"), {"n": 4, "m": 2, **_SAMPLER_DEFAULTS, "trials": 1000,
+                          "cross_check": False, "rank_rel_tol": None}),
+    "perturb-probe": _Command(
+        _cmd_perturb_probe, "perturb an uncontrollable base across step sizes",
+        ("json", "csv"), {"n": 3, "k": 1, "m": 1, "field": "real",
+                          "eps_grid": DEFAULT_EPS_GRID, "trials_per_eps": 500,
+                          "seed": 0, "max_retries": 60, "rank_rel_tol": None}),
+    "dist-unctrb": _Command(
+        _cmd_dist_unctrb, "grid estimate of the distance to uncontrollability",
+        ("in", "json"), {"tol": DEFAULT_SYMMETRY_TOL, "grid_points": 41,
+                         "refine_levels": 16, "margin": 1.0}),
+    "prop1": _Command(
+        _cmd_prop1, "interval union around the rationals: partial measure and "
+                    "membership",
+        ("json",), {"i_max": 1000, "x": None}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,116 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH",
                         help="JSON file overriding defaults (flags win)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("witness", parents=[common],
-                       help="emit the canonical controllable system")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--out", "-o")
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="validate a system JSON and emit its normalized form")
-    p.add_argument("--in", dest="infile", help="input path, - for stdin")
-    p.add_argument("--tol", type=float, help="symmetry residual gate")
-    p.add_argument("--ph", action=argparse.BooleanOptionalAction,
-                   help="also require H positive definite")
-    p.add_argument("--delta", type=float, help="positive definiteness margin")
-    p.add_argument("--out", "-o")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("pack", parents=[common],
-                       help="system JSON to flat coordinate vector")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--out", "-o")
-    p.set_defaults(handler=_cmd_pack)
-
-    p = sub.add_parser("unpack", parents=[common],
-                       help="flat coordinate vector to system JSON")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out", "-o")
-    p.set_defaults(handler=_cmd_unpack)
-
-    p = sub.add_parser("sample", parents=[common],
-                       help="draw random systems as JSON lines")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--field", choices=["real", "complex"])
-    p.add_argument("--kind", choices=["ph", "pht", "uncontrollable"])
-    p.add_argument("--k", type=int, help="unreachable states (kind=uncontrollable)")
-    p.add_argument("--h-law", dest="h_law", choices=["wishart", "shifted-gram"])
-    p.add_argument("--wishart-p", dest="wishart_p", type=int)
-    p.add_argument("--gram-eps", dest="gram_eps", type=float)
-    p.add_argument("--j-scale", dest="j_scale", type=float)
-    p.add_argument("--b-scale", dest="b_scale", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--out", "-o")
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("check", parents=[common],
-                       help="controllability verdict for a system JSON")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--rank-rel-tol", dest="rank_rel_tol", type=float)
-    p.add_argument("--pbh-tol", dest="pbh_tol", type=float)
-    p.add_argument("--out", "-o")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("mc-genericity", parents=[common],
-                       help="Monte Carlo controllable fraction under random draws")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--field", choices=["real", "complex"])
-    p.add_argument("--h-law", dest="h_law", choices=["wishart", "shifted-gram"])
-    p.add_argument("--wishart-p", dest="wishart_p", type=int)
-    p.add_argument("--gram-eps", dest="gram_eps", type=float)
-    p.add_argument("--j-scale", dest="j_scale", type=float)
-    p.add_argument("--b-scale", dest="b_scale", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cross-check", dest="cross_check",
-                   action=argparse.BooleanOptionalAction)
-    p.add_argument("--rank-rel-tol", dest="rank_rel_tol", type=float)
-    p.add_argument("--json", dest="json_out", metavar="PATH")
-    p.add_argument("--csv", dest="csv_out", metavar="PATH")
-    p.set_defaults(handler=_cmd_mc_genericity)
-
-    p = sub.add_parser("perturb-probe", parents=[common],
-                       help="perturb an uncontrollable base across step sizes")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--field", choices=["real", "complex"])
-    p.add_argument("--eps-grid", dest="eps_grid",
-                   help="comma-separated step sizes, e.g. 0,1e-8,1e-4")
-    p.add_argument("--trials-per-eps", dest="trials_per_eps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-retries", dest="max_retries", type=int)
-    p.add_argument("--rank-rel-tol", dest="rank_rel_tol", type=float)
-    p.add_argument("--json", dest="json_out", metavar="PATH")
-    p.add_argument("--csv", dest="csv_out", metavar="PATH")
-    p.set_defaults(handler=_cmd_perturb_probe)
-
-    p = sub.add_parser("dist-unctrb", parents=[common],
-                       help="grid estimate of the distance to uncontrollability")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--refine-levels", dest="refine_levels", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--json", dest="json_out", metavar="PATH")
-    p.set_defaults(handler=_cmd_dist_unctrb)
-
-    p = sub.add_parser("prop1", parents=[common],
-                       help="interval union around the rationals: partial "
-                            "measure and membership")
-    p.add_argument("--i-max", dest="i_max", type=int)
-    p.add_argument("--x", type=float, help="point to test for coverage")
-    p.add_argument("--json", dest="json_out", metavar="PATH")
-    p.set_defaults(handler=_cmd_prop1)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for key in command.defaults:
+            spec = _KEYS[key]
+            p.add_argument("--" + key.replace("_", "-"), help=spec.help, **spec.flag)
+        for io in command.io:
+            flags, kwargs = _IO_FLAGS[io]
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -492,8 +485,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
+    command = _COMMANDS[args.subcommand]
     try:
-        return args.handler(args)
+        return command.handler(args, _effective_config(args, command.defaults))
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -101,21 +101,6 @@ class PHTSystem:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
-    @classmethod
-    def from_parts(cls, J, H, B, field: ScalarField | None = None) -> "PHTSystem":
-        """Build a system from raw matrices, inferring dims and field."""
-        J = np.asarray(J)
-        H = np.asarray(H)
-        B = np.asarray(B)
-        if field is None:
-            complexish = any(np.iscomplexobj(a) for a in (J, H, B))
-            field = ScalarField.COMPLEX if complexish else ScalarField.REAL
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            raise DimensionMismatch(f"J must be square, got shape {J.shape}")
-        if B.ndim != 2:
-            raise DimensionMismatch(f"B must be a 2-d matrix, got shape {B.shape}")
-        return cls(Dims(J.shape[0], B.shape[1]), field, J, H, B)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PHTSystem):
             return NotImplemented
@@ -169,6 +154,9 @@ AnySystem = Union[PHTSystem, PHSystem]
 
 
 def _coerce_triple(J, H, B, field: ScalarField | None):
+    """Raw matrices to arrays, their field and dims; rejects bad shapes and
+    non-finite entries, which no symmetry gate would catch (every
+    comparison with NaN is false)."""
     J = np.asarray(J)
     H = np.asarray(H)
     B = np.asarray(B)
@@ -182,6 +170,9 @@ def _coerce_triple(J, H, B, field: ScalarField | None):
         raise DimensionMismatch(f"H must be {n}x{n}, got {H.shape}")
     if B.ndim != 2 or B.shape[0] != n:
         raise DimensionMismatch(f"B must have {n} rows, got shape {B.shape}")
+    for name, a in (("J", J), ("H", H), ("B", B)):
+        if not np.isfinite(a).all():
+            raise StructureViolation(f"{name} has entries that are not finite")
     return J, H, B, field, Dims(n, B.shape[1])
 
 
@@ -198,7 +189,7 @@ def validate_pht(J, H, B, tol: float = DEFAULT_SYMMETRY_TOL,
     Raises StructureViolation when a residual exceeds the gate and
     DimensionMismatch for inconsistent shapes.
     """
-    if tol < 0:
+    if not tol >= 0:  # also NaN, which would pass every residual
         raise ValueError(f"tol must be nonnegative, got {tol}")
     J, H, B, field, dims = _coerce_triple(J, H, B, field)
     Jf = _as_field_matrix(J, field, "J")
@@ -238,7 +229,7 @@ def validate_ph(sys: PHTSystem, delta: float | None = None) -> PHSystem:
     """
     if delta is None:
         delta = default_pd_delta(sys.H)
-    if delta <= 0:
+    if not delta > 0:  # also NaN, which would pass every eigenvalue
         raise ValueError(f"delta must be positive, got {delta}")
     smallest = float(np.linalg.eigvalsh(sys.H)[0])
     if smallest < delta:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -153,6 +153,18 @@ def _draw_h(spec: SamplerSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     return A @ A.conj().T + law.eps * np.eye(n)
 
 
+def _first_positive_definite(draw: Callable[[], PHTSystem]) -> PHSystem:
+    """Certify fresh draws with validate_ph until one passes; give up with
+    DegenerateDraw after MAX_PD_RETRIES attempts."""
+    last: NotPositiveDefinite | None = None
+    for _ in range(MAX_PD_RETRIES):
+        try:
+            return validate_ph(draw())
+        except NotPositiveDefinite as e:
+            last = e
+    raise DegenerateDraw(MAX_PD_RETRIES, last.smallest_eigenvalue)
+
+
 def sample_ph(spec: SamplerSpec, rng: np.random.Generator) -> PHSystem:
     """As :func:`sample_pht`, but H is drawn on the positive definite cone.
 
@@ -163,16 +175,13 @@ def sample_ph(spec: SamplerSpec, rng: np.random.Generator) -> PHSystem:
     """
     n, m = spec.dims.n, spec.dims.m
     J = spec.j_scale * _skew_part(_gauss(rng, (n, n), spec.field))
-    last: NotPositiveDefinite | None = None
-    for _ in range(MAX_PD_RETRIES):
+
+    def draw() -> PHTSystem:
         H = _draw_h(spec, rng, n)
         B = spec.b_scale * _gauss(rng, (n, m), spec.field)
-        sys = PHTSystem(spec.dims, spec.field, J, H, B)
-        try:
-            return validate_ph(sys)
-        except NotPositiveDefinite as e:
-            last = e
-    raise DegenerateDraw(MAX_PD_RETRIES, last.smallest_eigenvalue)
+        return PHTSystem(spec.dims, spec.field, J, H, B)
+
+    return _first_positive_definite(draw)
 
 
 def sample_uncontrollable(dims: Dims, k: int, rng: np.random.Generator,
@@ -196,8 +205,7 @@ def sample_uncontrollable(dims: Dims, k: int, rng: np.random.Generator,
         size = hi - lo
         J[lo:hi, lo:hi] = j_scale * _skew_part(_gauss(rng, (size, size), field))
 
-    last: NotPositiveDefinite | None = None
-    for _ in range(MAX_PD_RETRIES):
+    def draw() -> PHTSystem:
         H = np.zeros((n, n), dtype=dtype)
         for lo, hi in ((0, n1), (n1, n)):
             size = hi - lo
@@ -205,12 +213,9 @@ def sample_uncontrollable(dims: Dims, k: int, rng: np.random.Generator,
             H[lo:hi, lo:hi] = (A @ A.conj().T) / size
         B = np.zeros((n, m), dtype=dtype)
         B[:n1, :] = b_scale * _gauss(rng, (n1, m), field)
-        sys = PHTSystem(dims, field, J, H, B)
-        try:
-            return validate_ph(sys)
-        except NotPositiveDefinite as e:
-            last = e
-    raise DegenerateDraw(MAX_PD_RETRIES, last.smallest_eigenvalue)
+        return PHTSystem(dims, field, J, H, B)
+
+    return _first_positive_definite(draw)
 
 
 def perturb(sys: PHSystem, spec: PerturbationSpec,

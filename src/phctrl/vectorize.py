@@ -25,13 +25,14 @@ symmetry demands), so the roundtrip is exact entry for entry.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dims, PHSystem, PHTSystem, ScalarField
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import DimensionMismatch, LengthMismatch, StructureViolation
 
 
 def packed_length(dims: Dims, field: ScalarField) -> int:
@@ -70,41 +71,42 @@ class PackedVector:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_layout(n: int, field: ScalarField):
+    """Indices of the upper triangle (diagonal included, row-major) and, for
+    J and H, which float slots of each entry are coordinates.
+
+    An entry has one float slot (re) over the reals and two (re, im) over
+    the complexes.  J keeps its off-diagonal slots and the imaginary part
+    of its diagonal, H keeps its off-diagonal slots and the real part of
+    its diagonal.
+    """
+    iu = np.triu_indices(n)
+    off = iu[0] != iu[1]
+    every = np.ones_like(off)
+    width = 1 if field is ScalarField.REAL else 2
+    keep_j = np.column_stack([off, every])[:, :width]
+    keep_h = np.column_stack([every, off])[:, :width]
+    for a in (*iu, keep_j, keep_h):
+        a.setflags(write=False)
+    return iu, keep_j, keep_h
+
+
+def _slots(a: np.ndarray) -> np.ndarray:
+    """A 1-d array of real or complex entries as rows of float slots."""
+    return a.view(np.float64).reshape(a.shape[0], -1)
+
+
 def pack(sys: PHTSystem | PHSystem) -> PackedVector:
     """Coordinates of a system, in the fixed order documented above."""
     base = sys.base if isinstance(sys, PHSystem) else sys
-    n, m = base.dims.n, base.dims.m
-    J, H, B = base.J, base.H, base.B
-    if base.field is ScalarField.REAL:
-        coords = np.concatenate([
-            J[np.triu_indices(n, k=1)],
-            H[np.triu_indices(n)],
-            B.T.ravel(),
-        ])
-        return PackedVector(coords, base.dims, base.field)
-
-    out = np.empty(packed_length(base.dims, base.field), dtype=np.float64)
-    pos = 0
-    for i in range(n):
-        out[pos] = J[i, i].imag
-        pos += 1
-        for j in range(i + 1, n):
-            out[pos] = J[i, j].real
-            out[pos + 1] = J[i, j].imag
-            pos += 2
-    for i in range(n):
-        out[pos] = H[i, i].real
-        pos += 1
-        for j in range(i + 1, n):
-            out[pos] = H[i, j].real
-            out[pos + 1] = H[i, j].imag
-            pos += 2
-    for j in range(m):
-        for i in range(n):
-            out[pos] = B[i, j].real
-            out[pos + 1] = B[i, j].imag
-            pos += 2
-    return PackedVector(out, base.dims, base.field)
+    iu, keep_j, keep_h = _upper_layout(base.dims.n, base.field)
+    coords = np.concatenate([
+        _slots(base.J[iu])[keep_j],
+        _slots(base.H[iu])[keep_h],
+        base.B.T.ravel().view(np.float64),
+    ])
+    return PackedVector(coords, base.dims, base.field)
 
 
 def unpack(v: PackedVector) -> PHTSystem:
@@ -113,42 +115,28 @@ def unpack(v: PackedVector) -> PHTSystem:
     expected = packed_length(v.dims, v.field)
     if len(v) != expected:
         raise LengthMismatch(expected, len(v))
-    c = v.coords
+    iu, keep_j, keep_h = _upper_layout(n, v.field)
+    real = v.field is ScalarField.REAL
 
-    if v.field is ScalarField.REAL:
-        nj = n * (n - 1) // 2
-        nh = n * (n + 1) // 2
-        upper = np.zeros((n, n))
-        upper[np.triu_indices(n, k=1)] = c[:nj]
-        J = upper - upper.T
-        Hu = np.zeros((n, n))
-        Hu[np.triu_indices(n)] = c[nj:nj + nh]
-        H = Hu + np.triu(Hu, k=1).T
-        B = c[nj + nh:].reshape(m, n).T
-        return PHTSystem(v.dims, v.field, J, H, B)
+    def entries(slots: np.ndarray) -> np.ndarray:
+        # re + 1j*im, not a float view, so that zero parts get the signs
+        # of the entry-wise reference in tests/test_vectorize.py
+        return slots[:, 0] if real else slots[:, 0] + 1j * slots[:, 1]
 
-    J = np.zeros((n, n), dtype=np.complex128)
-    H = np.zeros((n, n), dtype=np.complex128)
-    B = np.zeros((n, m), dtype=np.complex128)
-    pos = 0
-    for i in range(n):
-        J[i, i] = 1j * c[pos]
-        pos += 1
-        for j in range(i + 1, n):
-            J[i, j] = c[pos] + 1j * c[pos + 1]
-            J[j, i] = -c[pos] + 1j * c[pos + 1]
-            pos += 2
-    for i in range(n):
-        H[i, i] = c[pos]
-        pos += 1
-        for j in range(i + 1, n):
-            H[i, j] = c[pos] + 1j * c[pos + 1]
-            H[j, i] = c[pos] - 1j * c[pos + 1]
-            pos += 2
-    for j in range(m):
-        for i in range(n):
-            B[i, j] = c[pos] + 1j * c[pos + 1]
-            pos += 2
+    def upper(coords: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        slots = np.zeros(keep.shape)
+        slots[keep] = coords
+        U = np.zeros((n, n), dtype=v.field.dtype)
+        U[iu] = entries(slots)
+        return U
+
+    nj = np.count_nonzero(keep_j)
+    j, h, b = np.split(v.coords, [nj, nj + np.count_nonzero(keep_h)])
+    Ju = upper(j, keep_j)
+    Hu = upper(h, keep_h)
+    J = Ju - np.triu(Ju, k=1).conj().T
+    H = Hu + np.triu(Hu, k=1).conj().T
+    B = entries(b.reshape(n * m, -1)).reshape(m, n).T
     return PHTSystem(v.dims, v.field, J, H, B)
 
 
@@ -168,6 +156,8 @@ def packed_from_dict(data: dict) -> PackedVector:
         coords = np.asarray(data["coords"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as e:
         raise DimensionMismatch(f"malformed packed vector object: {e}")
+    if not np.isfinite(coords).all():
+        raise StructureViolation("packed coordinates are not all finite")
     return PackedVector(coords, dims, field)
 
 

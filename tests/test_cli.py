@@ -330,3 +330,114 @@ class TestUsageErrors:
         code, _, err = run(capsys, "witness", "--n", "0")
         assert code == 1
         assert "error:" in err
+
+
+class TestConfigFileValues:
+    """Config-file values are checked against the flags they stand for."""
+
+    @pytest.mark.parametrize("command,config", [
+        pytest.param("sample", {"n": "4"}, id="n-string"),
+        pytest.param("sample", {"n": 4.0}, id="n-float"),
+        pytest.param("sample", {"n": True}, id="n-bool"),
+        pytest.param("sample", {"field": "quaternion"}, id="field-choice"),
+        pytest.param("sample", {"kind": "bogus"}, id="kind-choice"),
+        pytest.param("sample", {"h_law": "gamma"}, id="h_law-choice"),
+        pytest.param("mc-genericity", {"trials": "5"}, id="trials-string"),
+        pytest.param("mc-genericity", {"cross_check": "yes"}, id="cross_check-string"),
+        pytest.param("mc-genericity", {"wishart_p": 3.5}, id="wishart_p-float"),
+        pytest.param("perturb-probe", {"eps_grid": 1e-4}, id="eps_grid-number"),
+        pytest.param("perturb-probe", {"eps_grid": ["1e-4"]}, id="eps_grid-strings"),
+        pytest.param("perturb-probe", {"eps_grid": "0,tiny"}, id="eps_grid-unparsable"),
+        pytest.param("validate", {"ph": 1}, id="ph-int"),
+        pytest.param("prop1", {"x": "3.0"}, id="x-string"),
+        pytest.param("unpack", {"n": 2}, id="unpack-any-key"),
+    ])
+    def test_wrong_type_is_usage_error(self, capsys, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert out == ""
+
+    def test_unpack_reads_its_config(self, capsys, tmp_path):
+        # unpack takes no config key: an empty object is fine, a missing
+        # file is an I/O error like for every other command
+        packed = tmp_path / "packed.json"
+        packed.write_text(json.dumps({"n": 1, "m": 1, "field": "real",
+                                      "coords": [0.0, 1.0]}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        assert run(capsys, "unpack", "--in", str(packed), "--config", str(cfg))[0] == 0
+        code, _, err = run(capsys, "unpack", "--in", str(packed),
+                           "--config", str(tmp_path / "missing.json"))
+        assert code == 1
+        assert "error:" in err
+
+    def test_values_are_echoed_unconverted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "m": 1, "trials": 5, "j_scale": 1,
+                                   "h_law": "shifted-gram", "wishart_p": None}))
+        report = tmp_path / "report.json"
+        code, _, _ = run(capsys, "mc-genericity", "--config", str(cfg),
+                         "--json", str(report))
+        assert code == 0
+        echoed = json.loads(report.read_text())["config"]
+        assert echoed["j_scale"] == 1 and isinstance(echoed["j_scale"], int)
+        assert echoed["h_law"] == "shifted_gram"
+
+    def test_eps_grid_as_list(self, capsys, tmp_path):
+        outputs = []
+        for grid in ("0,1e-4", [0, 1e-4]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": 2, "m": 1, "eps_grid": grid,
+                                       "trials_per_eps": 5}))
+            code, out, _ = run(capsys, "perturb-probe", "--config", str(cfg))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_nonpositive_count_is_usage_error(self, capsys, count):
+        code, out, err = run(capsys, "sample", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert "usage error:" in err
+
+
+class TestNonFiniteInput:
+    def write(self, tmp_path, data):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_infinite_h_rejected_by_validate_ph(self, capsys, tmp_path):
+        path = self.write(tmp_path, {
+            "field": "real", "n": 2, "m": 1,
+            "J": [[0.0, -1.0], [1.0, 0.0]],
+            "H": [[float("inf"), 0.0], [0.0, 1.0]],
+            "B": [[1.0], [0.0]],
+        })
+        code, out, err = run(capsys, "validate", "--ph", "--in", path)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_nan_in_j_rejected_by_validate(self, capsys, tmp_path):
+        path = self.write(tmp_path, {
+            "field": "real", "n": 2, "m": 1,
+            "J": [[0.0, float("nan")], [1.0, 0.0]],
+            "H": [[1.0, 0.0], [0.0, 1.0]],
+            "B": [[1.0], [0.0]],
+        })
+        code, _, err = run(capsys, "validate", "--in", path)
+        assert code == 1
+        assert "finite" in err
+
+    def test_nan_coordinate_rejected_by_unpack(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"n": 1, "m": 1, "field": "real",
+                                     "coords": [float("nan"), 1.0]})
+        code, out, err = run(capsys, "unpack", "--in", path)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err

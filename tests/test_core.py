@@ -130,9 +130,26 @@ class TestValidatePht:
         with pytest.raises(ValueError):
             validate_pht(J2, H2, B2, tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        # a NaN gate would accept any residual
+        with pytest.raises(ValueError):
+            validate_pht([[1.0, 5.0], [0.0, 0.0]], H2, B2, tol=float("nan"))
+
     def test_real_field_rejects_complex_entries(self):
         with pytest.raises(StructureViolation):
             validate_pht(np.array(J2) * 1j, H2, B2, field=ScalarField.REAL)
+
+    @pytest.mark.parametrize("part", ["J", "H", "B"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, part, bad):
+        raw = {"J": np.array(J2), "H": np.array(H2), "B": np.array(B2)}
+        raw[part][1, 0] = bad
+        with pytest.raises(StructureViolation, match="finite"):
+            validate_pht(raw["J"], raw["H"], raw["B"])
+        d = system_to_dict(validate_pht(J2, H2, B2))
+        d[part] = raw[part].tolist()
+        with pytest.raises(StructureViolation, match="finite"):
+            system_from_dict(d)
 
     def test_arrays_frozen(self):
         sys = validate_pht(J2, H2, B2)
@@ -151,6 +168,12 @@ class TestValidatePh:
         with pytest.raises(NotPositiveDefinite) as exc:
             validate_ph(sys, delta=1e-12)
         assert exc.value.smallest_eigenvalue == pytest.approx(-1.0, rel=1e-12)
+
+    def test_nan_delta_rejected(self):
+        # a NaN margin would accept an indefinite H
+        sys = validate_pht(J2, [[1.0, 0.0], [0.0, -1.0]], B2)
+        with pytest.raises(ValueError):
+            validate_ph(sys, delta=float("nan"))
 
     def test_margin_from_eigenvalues(self):
         # eigenvalues of [[2,1],[1,2]] are 1 and 3

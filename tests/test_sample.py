@@ -6,7 +6,7 @@ import pytest
 import phctrl.sample as sample_mod
 from phctrl.core import Dims, ScalarField, validate_ph, validate_pht
 from phctrl.ctrb import kalman_matrix, rank_svd
-from phctrl.errors import DegenerateDraw, PerturbationFailed
+from phctrl.errors import DegenerateDraw, NotPositiveDefinite, PerturbationFailed
 from phctrl.sample import (
     PerturbationSpec,
     SamplerSpec,
@@ -243,3 +243,24 @@ class TestDegenerateDraw:
         with pytest.raises(DegenerateDraw) as exc:
             sample_ph(spec, stream(500, 0))
         assert exc.value.smallest_eigenvalue == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("draw", ["ph", "uncontrollable"])
+    def test_every_attempt_goes_through_validate_ph(self, monkeypatch, draw):
+        # both PD-gated samplers certify each attempt with the module's
+        # validate_ph and give up after MAX_PD_RETRIES attempts
+        calls = []
+
+        def refuse(sys, delta=None):
+            calls.append(sys)
+            raise NotPositiveDefinite(-2.0, 1e-12)
+
+        monkeypatch.setattr(sample_mod, "validate_ph", refuse)
+        rng = stream(501, 0)
+        with pytest.raises(DegenerateDraw) as exc:
+            if draw == "ph":
+                sample_ph(SamplerSpec(Dims(3, 1), seed=501), rng)
+            else:
+                sample_uncontrollable(Dims(3, 1), 1, rng)
+        assert len(calls) == sample_mod.MAX_PD_RETRIES
+        assert len({id(s) for s in calls}) == sample_mod.MAX_PD_RETRIES
+        assert exc.value.smallest_eigenvalue == -2.0

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from phctrl.core import Dims, PHTSystem, ScalarField, validate_pht
-from phctrl.errors import LengthMismatch
+from phctrl.errors import LengthMismatch, StructureViolation
 from phctrl.sample import SamplerSpec, sample_pht, stream
 from phctrl.vectorize import (
     PackedVector,
     loads_packed,
     dumps_packed,
     pack,
+    packed_from_dict,
     packed_length,
     unpack,
 )
@@ -50,6 +51,21 @@ def test_pack_complex_hand_example():
     sys = validate_pht([[0.5j]], [[2.0]], [[1.0 + 2.0j]],
                        field=ScalarField.COMPLEX)
     assert pack(sys).coords.tolist() == [0.5, 2.0, 1.0, 2.0]
+
+
+def test_complex_hand_example_n2():
+    # the upper triangle row by row: J00.im, (J01.re, J01.im), J11.im, then
+    # H00.re, (H01.re, H01.im), H11.re, then B column by column in pairs
+    J = np.array([[0.5j, 1 + 2j], [-1 + 2j, -0.25j]])
+    H = np.array([[2.0, 3 - 4j], [3 + 4j, 5.0]])
+    B = np.array([[1 + 2j, 5 + 6j], [3 - 1j, 7 - 8j]])
+    coords = [0.5, 1.0, 2.0, -0.25,
+              2.0, 3.0, -4.0, 5.0,
+              1.0, 2.0, 3.0, -1.0, 5.0, 6.0, 7.0, -8.0]
+    sys = validate_pht(J, H, B, tol=0.0, field=ScalarField.COMPLEX)
+    assert pack(sys).coords.tolist() == coords
+    back = unpack(PackedVector(np.array(coords), Dims(2, 2), ScalarField.COMPLEX))
+    assert back == sys
 
 
 def test_pack_zero_system():
@@ -139,8 +155,101 @@ def test_complex_real_linearity():
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
+def _pack_loops(sys):
+    # entry-by-entry statement of the documented layout; the reference
+    # that the vectorized pack must match bit for bit
+    n, m = sys.dims.n, sys.dims.m
+    J, H, B = sys.J, sys.H, sys.B
+    real = sys.field is ScalarField.REAL
+    out = []
+    for M, diag in ((J, "imag"), (H, "real")):
+        for i in range(n):
+            if not real or diag == "real":
+                out.append(getattr(M[i, i], diag))
+            for j in range(i + 1, n):
+                out += [M[i, j].real] if real else [M[i, j].real, M[i, j].imag]
+    for j in range(m):
+        for i in range(n):
+            out += [B[i, j].real] if real else [B[i, j].real, B[i, j].imag]
+    return np.array(out, dtype=np.float64)
+
+
+def _unpack_loops(v):
+    # the inverse of _pack_loops as unpack computed it entry by entry
+    n, m = v.dims.n, v.dims.m
+    c = v.coords
+    if v.field is ScalarField.REAL:
+        nj, nh = n * (n - 1) // 2, n * (n + 1) // 2
+        Ju = np.zeros((n, n))
+        Ju[np.triu_indices(n, k=1)] = c[:nj]
+        Hu = np.zeros((n, n))
+        Hu[np.triu_indices(n)] = c[nj:nj + nh]
+        return PHTSystem(v.dims, v.field, Ju - Ju.T, Hu + np.triu(Hu, k=1).T,
+                         c[nj + nh:].reshape(m, n).T)
+    J = np.zeros((n, n), dtype=np.complex128)
+    H = np.zeros((n, n), dtype=np.complex128)
+    B = np.zeros((n, m), dtype=np.complex128)
+    pos = 0
+    for i in range(n):
+        J[i, i] = 1j * c[pos]
+        pos += 1
+        for j in range(i + 1, n):
+            J[i, j] = c[pos] + 1j * c[pos + 1]
+            J[j, i] = -c[pos] + 1j * c[pos + 1]
+            pos += 2
+    for i in range(n):
+        H[i, i] = c[pos]
+        pos += 1
+        for j in range(i + 1, n):
+            H[i, j] = c[pos] + 1j * c[pos + 1]
+            H[j, i] = c[pos] - 1j * c[pos + 1]
+            pos += 2
+    for j in range(m):
+        for i in range(n):
+            B[i, j] = c[pos] + 1j * c[pos + 1]
+            pos += 2
+    return PHTSystem(v.dims, v.field, J, H, B)
+
+
+def _bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("field", list(ScalarField))
+@pytest.mark.parametrize("zeros", [False, True])
+def test_matches_entrywise_reference(field, zeros):
+    # bit for bit, signed zeros included, except that with exact zero
+    # coordinates the reference's J below the diagonal, -re + i im, can
+    # carry a -0.0 real part where 0 - conj(.) gives +0.0: there J is
+    # compared by value
+    rng = np.random.default_rng(2024)
+    for _ in range(240):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 4))
+        dims = Dims(n, m)
+        c = rng.standard_normal(packed_length(dims, field))
+        if zeros:
+            c[rng.random(c.size) < 0.2] = 0.0
+            c[rng.random(c.size) < 0.2] = -0.0
+        v = PackedVector(c, dims, field)
+        got, ref = unpack(v), _unpack_loops(v)
+        assert _bits(got.H) == _bits(ref.H) and _bits(got.B) == _bits(ref.B)
+        if zeros:
+            assert np.array_equal(got.J, ref.J)
+        else:
+            assert _bits(got.J) == _bits(ref.J)
+        for sys in (got, ref):
+            assert _bits(pack(sys).coords) == _bits(_pack_loops(sys))
+
+
 def test_json_roundtrip():
     spec = SamplerSpec(Dims(3, 2), field=ScalarField.COMPLEX, seed=21)
     v = pack(sample_pht(spec, stream(21, 0)))
     again = loads_packed(dumps_packed(v))
     assert again == v
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_packed_from_dict_rejects_non_finite(bad):
+    with pytest.raises(StructureViolation):
+        packed_from_dict({"n": 1, "m": 1, "field": "real", "coords": [bad, 1.0]})
