@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -88,12 +89,26 @@ def _write_text(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _finite(value) -> bool:
+    """A number, or every number of a list, is neither NaN nor +-Inf."""
+    items = value if type(value) is list else [value]
+    try:
+        return all(math.isfinite(x) for x in items)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 class _Key(NamedTuple):
     json_types: tuple  # what a config file may give; checked, never converted
     flag: dict         # argparse keywords of --<key with - for _>
     help: str
+    # (test, wording) every effective non-null value must pass, whatever
+    # layer it came from
+    rule: tuple[Callable[[object], bool], str] | None = None
 
 
+_FINITE = (_finite, "finite")
+_POSITIVE_COUNT = (lambda value: value >= 1, "at least 1")
 _INT = (int,)
 _NUMBER = (int, float)
 _OR_NULL = (type(None),)
@@ -112,29 +127,29 @@ _KEYS = {
     "h_law": _Key((str,), {"choices": ("wishart", "shifted-gram")},
                   "law of H (a config file may also write shifted_gram)"),
     "wishart_p": _Key(_INT + _OR_NULL, _INT_FLAG, "Wishart degrees of freedom (n if unset)"),
-    "gram_eps": _Key(_NUMBER, _FLOAT_FLAG, "spectral floor of the shifted-Gram law"),
-    "j_scale": _Key(_NUMBER, _FLOAT_FLAG, "scale of J"),
-    "b_scale": _Key(_NUMBER, _FLOAT_FLAG, "scale of B"),
+    "gram_eps": _Key(_NUMBER, _FLOAT_FLAG, "spectral floor of the shifted-Gram law", _FINITE),
+    "j_scale": _Key(_NUMBER, _FLOAT_FLAG, "scale of J", _FINITE),
+    "b_scale": _Key(_NUMBER, _FLOAT_FLAG, "scale of B", _FINITE),
     "seed": _Key(_INT, _INT_FLAG, "master seed"),
-    "count": _Key(_INT, _INT_FLAG, "number of systems, at least 1"),
-    "trials": _Key(_INT, _INT_FLAG, "number of draws"),
+    "count": _Key(_INT, _INT_FLAG, "number of systems, at least 1", _POSITIVE_COUNT),
+    "trials": _Key(_INT, _INT_FLAG, "number of draws", _POSITIVE_COUNT),
     "cross_check": _Key(_BOOL, _SWITCH, "also run the PBH test on every draw"),
     "rank_rel_tol": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG,
-                         "SVD rank threshold relative to sigma_max"),
+                         "SVD rank threshold relative to sigma_max", _FINITE),
     "eps_grid": _Key((str, list), {},
                      "comma-separated step sizes, e.g. 0,1e-8,1e-4 (a config "
-                     "file may give a list)"),
-    "trials_per_eps": _Key(_INT, _INT_FLAG, "perturbations per step size"),
+                     "file may give a list)", _FINITE),
+    "trials_per_eps": _Key(_INT, _INT_FLAG, "perturbations per step size", _POSITIVE_COUNT),
     "max_retries": _Key(_INT, _INT_FLAG, "step halvings allowed per perturbation"),
-    "tol": _Key(_NUMBER, _FLOAT_FLAG, "symmetry residual gate"),
+    "tol": _Key(_NUMBER, _FLOAT_FLAG, "symmetry residual gate", _FINITE),
     "ph": _Key(_BOOL, _SWITCH, "also require H positive definite"),
-    "delta": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG, "positive definiteness margin"),
-    "pbh_tol": _Key(_NUMBER, _FLOAT_FLAG, "PBH threshold relative to ||JH|| + ||B||"),
+    "delta": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG, "positive definiteness margin", _FINITE),
+    "pbh_tol": _Key(_NUMBER, _FLOAT_FLAG, "PBH threshold relative to ||JH|| + ||B||", _FINITE),
     "grid_points": _Key(_INT, _INT_FLAG, "grid points per axis"),
     "refine_levels": _Key(_INT, _INT_FLAG, "grid refinement levels"),
-    "margin": _Key(_NUMBER, _FLOAT_FLAG, "grid half-width beyond ||JH||"),
-    "i_max": _Key(_INT, _INT_FLAG, "number of intervals"),
-    "x": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG, "point to test for coverage"),
+    "margin": _Key(_NUMBER, _FLOAT_FLAG, "grid half-width beyond ||JH||", _FINITE),
+    "i_max": _Key(_INT, _INT_FLAG, "number of intervals", _POSITIVE_COUNT),
+    "x": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG, "point to test for coverage", _FINITE),
 }
 
 # input/output flags, which are not config keys
@@ -196,6 +211,10 @@ def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
             cfg["eps_grid"] = [float(tok) for tok in cfg["eps_grid"].split(",") if tok.strip()]
         except ValueError:
             raise _UsageError(f"cannot parse eps grid {cfg['eps_grid']!r}")
+    for key, value in cfg.items():
+        rule = _KEYS[key].rule
+        if rule is not None and value is not None and not rule[0](value):
+            raise _UsageError(f"{key} must be {rule[1]}, got {value!r}")
     return cfg
 
 
@@ -249,8 +268,6 @@ def _cmd_unpack(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
-    if cfg["count"] < 1:
-        raise _UsageError(f"count must be at least 1, got {cfg['count']}")
     spec = _sampler_spec(cfg)
     lines = []
     for i in range(cfg["count"]):

@@ -70,6 +70,18 @@ def _as_field_matrix(a: np.ndarray, field: ScalarField, name: str) -> np.ndarray
     return np.array(a, dtype=field.dtype)
 
 
+def skew_part(M: np.ndarray) -> np.ndarray:
+    """Projection (M - M*)/2 onto the skew-adjoint matrices, over a stack
+    (..., n, n)."""
+    return (M - M.swapaxes(-1, -2).conj()) / 2.0
+
+
+def sym_part(M: np.ndarray) -> np.ndarray:
+    """Projection (M + M*)/2 onto the self-adjoint matrices, over a stack
+    (..., n, n)."""
+    return (M + M.swapaxes(-1, -2).conj()) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class PHTSystem:
     """Triple (J, H, B) with J skew-adjoint and H self-adjoint.
@@ -95,8 +107,8 @@ class PHTSystem:
             raise DimensionMismatch(f"H must be {n}x{n}, got {H.shape}")
         if B.shape != (n, m):
             raise DimensionMismatch(f"B must be {n}x{m}, got {B.shape}")
-        J = (J - J.conj().T) / 2.0
-        H = (H + H.conj().T) / 2.0
+        J = skew_part(J)
+        H = sym_part(H)
         for name, array in (("J", J), ("H", H), ("B", B)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -215,9 +227,26 @@ def validate_pht(J, H, B, tol: float = DEFAULT_SYMMETRY_TOL,
     return PHTSystem(dims, field, J, H, B)
 
 
-def default_pd_delta(H: np.ndarray) -> float:
-    """Positive definiteness margin used when none is given."""
-    return 1e-12 * max(1.0, float(np.linalg.norm(H, 2)))
+def default_pd_delta(H: np.ndarray):
+    """Positive definiteness margin used when none is given:
+    1e-12 * max(1, ||H||_2), a float for one matrix and an array of them
+    for a stack (..., n, n)."""
+    norm = np.linalg.svd(H, compute_uv=False)[..., 0]  # = norm(H, 2), bit for bit
+    delta = 1e-12 * np.maximum(1.0, norm)
+    return float(delta) if delta.ndim == 0 else delta
+
+
+def pd_gate(H: np.ndarray, delta: float | None = None):
+    """The positive definiteness rule over a stack (..., n, n) of
+    self-adjoint H: the smallest eigenvalue of each, the margin it must
+    reach (default_pd_delta when delta is None) and whether it falls
+    short of it."""
+    if delta is None:
+        delta = default_pd_delta(H)
+    elif not delta > 0:  # also NaN, which would pass every eigenvalue
+        raise ValueError(f"delta must be positive, got {delta}")
+    smallest = np.linalg.eigvalsh(H)[..., 0]
+    return smallest, delta, smallest < delta
 
 
 def validate_ph(sys: PHTSystem, delta: float | None = None) -> PHSystem:
@@ -227,14 +256,10 @@ def validate_ph(sys: PHTSystem, delta: float | None = None) -> PHSystem:
     as pd_margin; raises NotPositiveDefinite (carrying the offending
     eigenvalue) otherwise.
     """
-    if delta is None:
-        delta = default_pd_delta(sys.H)
-    if not delta > 0:  # also NaN, which would pass every eigenvalue
-        raise ValueError(f"delta must be positive, got {delta}")
-    smallest = float(np.linalg.eigvalsh(sys.H)[0])
-    if smallest < delta:
-        raise NotPositiveDefinite(smallest, delta)
-    return PHSystem(base=sys, pd_margin=smallest)
+    smallest, delta, rejected = pd_gate(sys.H, delta)
+    if rejected:
+        raise NotPositiveDefinite(float(smallest), delta)
+    return PHSystem(base=sys, pd_margin=float(smallest))
 
 
 def system_matrix(sys: AnySystem) -> np.ndarray:

@@ -84,22 +84,53 @@ class MinorSet:
         return bool(np.any(np.abs(self.values) > tol))
 
 
-def kalman_matrix(sys: AnySystem) -> KalmanMatrix:
-    """Build the reachability matrix by repeated multiplication.
-
-    Block j is (JH) times block j-1; powers of JH are never formed
-    explicitly.
-    """
-    n, m = sys.dims.n, sys.dims.m
-    A = system_matrix(sys)
-    K = np.empty((n, n * m), dtype=sys.field.dtype)
-    block = np.array(sys.B)
-    K[:, :m] = block
+def krylov_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[B, AB, ..., A^{n-1}B] over a stack: A (..., n, n), B (..., n, m)
+    give (..., n, nm).  Block j is A times block j-1; powers of A are
+    never formed explicitly."""
+    n, m = B.shape[-2:]
+    K = np.empty(B.shape[:-1] + (n * m,), dtype=np.result_type(A, B))
+    block = B
+    K[..., :m] = block
     for j in range(1, n):
         block = A @ block
-        K[:, j * m:(j + 1) * m] = block
+        K[..., j * m:(j + 1) * m] = block
+    return K
+
+
+def kalman_matrix(sys: AnySystem) -> KalmanMatrix:
+    """Build the reachability matrix of (JH, B) by krylov_blocks."""
+    K = krylov_blocks(system_matrix(sys), sys.B)
     K.setflags(write=False)
     return KalmanMatrix(K, sys.dims)
+
+
+def resolve_rel_tol(dims: Dims, rel_tol: float | None = None) -> float:
+    """The relative rank threshold: rel_tol, by default eps * max(n, nm)."""
+    if rel_tol is None:
+        rel_tol = float(np.finfo(np.float64).eps) * max(dims.n, dims.n * dims.m)
+    if not rel_tol > 0:  # also NaN, which would count no singular value
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    return rel_tol
+
+
+def singular_values(K: np.ndarray) -> np.ndarray:
+    """Singular values of a reachability matrix, or of each in a stack
+    (..., n, nm), in descending order."""
+    try:
+        return np.linalg.svd(K, compute_uv=False)
+    except np.linalg.LinAlgError as e:
+        raise SvdFailure(f"SVD of the reachability matrix failed: {e}") from e
+
+
+def threshold_rank(sv: np.ndarray, rel_tol: float):
+    """The rank rule over a stack (..., k) of descending singular values:
+    the count strictly above tol_used = rel_tol * sigma_max (1e-300 when
+    sigma_max = 0), and tol_used."""
+    sigma_max = sv[..., :1]
+    tol_used = rel_tol * sigma_max
+    tol_used[~(sigma_max > 0.0)] = 1e-300
+    return (sv > tol_used).sum(axis=-1), tol_used[..., 0]
 
 
 def rank_svd(kal: KalmanMatrix, rel_tol: float | None = None) -> RankReport:
@@ -109,23 +140,14 @@ def rank_svd(kal: KalmanMatrix, rel_tol: float | None = None) -> RankReport:
     with rel_tol defaulting to eps * max(n, nm); an absolute floor of 1e-300
     applies when sigma_max = 0.  Controllable means rank = n.
     """
-    n, m = kal.dims.n, kal.dims.m
-    if rel_tol is None:
-        rel_tol = float(np.finfo(np.float64).eps) * max(n, n * m)
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    try:
-        sv = np.linalg.svd(kal.K, compute_uv=False)
-    except np.linalg.LinAlgError as e:
-        raise SvdFailure(f"SVD of the reachability matrix failed: {e}") from e
-    sigma_max = float(sv[0]) if sv.size else 0.0
-    tol_used = rel_tol * sigma_max if sigma_max > 0.0 else 1e-300
-    rank = int(np.count_nonzero(sv > tol_used))
+    rel_tol = resolve_rel_tol(kal.dims, rel_tol)
+    sv = singular_values(kal.K)
+    rank, tol_used = threshold_rank(sv, rel_tol)
     return RankReport(
-        rank=rank,
-        singular_values=tuple(float(s) for s in sv),
+        rank=int(rank),
+        singular_values=tuple(sv.tolist()),
         tol_used=float(tol_used),
-        controllable=(rank == n),
+        controllable=bool(rank == kal.dims.n),
     )
 
 

@@ -23,6 +23,9 @@ from .core import (
     PHSystem,
     PHTSystem,
     ScalarField,
+    pd_gate,
+    skew_part,
+    sym_part,
     validate_ph,
 )
 from .errors import DegenerateDraw, NotPositiveDefinite, PerturbationFailed
@@ -35,6 +38,11 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *indices))))
+
+
+def _finite_positive(x: float) -> bool:
+    """0 < x < inf; false for NaN, which every plain comparison lets by."""
+    return 0 < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,8 @@ class SamplerSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.j_scale <= 0 or self.b_scale <= 0:
-            raise ValueError("j_scale and b_scale must be positive")
+        if not (_finite_positive(self.j_scale) and _finite_positive(self.b_scale)):
+            raise ValueError("j_scale and b_scale must be positive and finite")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -77,8 +85,8 @@ class SamplerSpec:
             if law.p is not None and law.p < self.dims.n:
                 raise ValueError(f"Wishart p must be >= n = {self.dims.n}, got {law.p}")
         elif isinstance(law, ShiftedGram):
-            if law.eps <= 0:
-                raise ValueError(f"ShiftedGram eps must be positive, got {law.eps}")
+            if not _finite_positive(law.eps):
+                raise ValueError(f"ShiftedGram eps must be positive and finite, got {law.eps}")
         else:
             raise ValueError(f"unknown H law: {law!r}")
 
@@ -99,10 +107,10 @@ class PerturbationSpec:
     max_retries: int = 40
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if min(self.j_scale, self.h_scale, self.b_scale) <= 0:
-            raise ValueError("direction scales must be positive")
+        if not (self.epsilon == 0 or _finite_positive(self.epsilon)):
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        if not all(map(_finite_positive, (self.j_scale, self.h_scale, self.b_scale))):
+            raise ValueError("direction scales must be positive and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be nonnegative")
 
@@ -123,22 +131,14 @@ def _gauss(rng: np.random.Generator, shape, field: ScalarField) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def _skew_part(G: np.ndarray) -> np.ndarray:
-    return (G - G.conj().T) / 2.0
-
-
-def _sym_part(G: np.ndarray) -> np.ndarray:
-    return (G + G.conj().T) / 2.0
-
-
 def sample_pht(spec: SamplerSpec, rng: np.random.Generator) -> PHTSystem:
     """Gaussian draw on the ambient space of structured triples.
 
     Draw order (part of the determinism contract): J source, H source, B.
     """
     n, m = spec.dims.n, spec.dims.m
-    J = spec.j_scale * _skew_part(_gauss(rng, (n, n), spec.field))
-    H = _sym_part(_gauss(rng, (n, n), spec.field))
+    J = spec.j_scale * skew_part(_gauss(rng, (n, n), spec.field))
+    H = sym_part(_gauss(rng, (n, n), spec.field))
     B = spec.b_scale * _gauss(rng, (n, m), spec.field)
     return PHTSystem(spec.dims, spec.field, J, H, B)
 
@@ -174,7 +174,7 @@ def sample_ph(spec: SamplerSpec, rng: np.random.Generator) -> PHSystem:
     rather than bad luck.
     """
     n, m = spec.dims.n, spec.dims.m
-    J = spec.j_scale * _skew_part(_gauss(rng, (n, n), spec.field))
+    J = spec.j_scale * skew_part(_gauss(rng, (n, n), spec.field))
 
     def draw() -> PHTSystem:
         H = _draw_h(spec, rng, n)
@@ -182,6 +182,38 @@ def sample_ph(spec: SamplerSpec, rng: np.random.Generator) -> PHSystem:
         return PHTSystem(spec.dims, spec.field, J, H, B)
 
     return _first_positive_definite(draw)
+
+
+def sample_ph_rows(spec: SamplerSpec, indices: range):
+    """sample_ph(spec, stream(spec.seed, i)) for every trial i in indices,
+    with the projections and the positive definiteness gate run on the
+    stacked arrays.
+
+    Each trial draws from its own stream in the documented order, so its
+    J, H and B equal sample_ph's bit for bit; only the rows the gate
+    rejects redraw H and B, up to MAX_PD_RETRIES attempts.  Returns
+    stacked J, H, B and a dict from row to the DegenerateDraw of each
+    row that never passed (its arrays then hold the last attempt).
+    """
+    n, m = spec.dims.n, spec.dims.m
+    rngs = [stream(spec.seed, i) for i in indices]
+    J = spec.j_scale * skew_part(np.stack([_gauss(rng, (n, n), spec.field) for rng in rngs]))
+    H = np.empty(J.shape, dtype=spec.field.dtype)
+    B = np.empty(J.shape[:-1] + (m,), dtype=spec.field.dtype)
+    smallest = np.empty(len(rngs))
+    pending = np.arange(len(rngs))
+    for _ in range(MAX_PD_RETRIES):
+        for k in pending:
+            H[k] = _draw_h(spec, rngs[k], n)
+            B[k] = spec.b_scale * _gauss(rngs[k], (n, m), spec.field)
+        drawn = sym_part(H[pending])
+        H[pending] = drawn
+        smallest[pending], _, rejected = pd_gate(drawn)
+        pending = pending[rejected]
+        if not pending.size:
+            break
+    degenerate = {int(k): DegenerateDraw(MAX_PD_RETRIES, float(smallest[k])) for k in pending}
+    return skew_part(J), H, B, degenerate
 
 
 def sample_uncontrollable(dims: Dims, k: int, rng: np.random.Generator,
@@ -203,7 +235,7 @@ def sample_uncontrollable(dims: Dims, k: int, rng: np.random.Generator,
     J = np.zeros((n, n), dtype=dtype)
     for lo, hi in ((0, n1), (n1, n)):
         size = hi - lo
-        J[lo:hi, lo:hi] = j_scale * _skew_part(_gauss(rng, (size, size), field))
+        J[lo:hi, lo:hi] = j_scale * skew_part(_gauss(rng, (size, size), field))
 
     def draw() -> PHTSystem:
         H = np.zeros((n, n), dtype=dtype)
@@ -232,8 +264,8 @@ def perturb(sys: PHSystem, spec: PerturbationSpec,
 
     n, m = sys.dims.n, sys.dims.m
     field = sys.field
-    DJ = spec.j_scale * _skew_part(_gauss(rng, (n, n), field))
-    DH = spec.h_scale * _sym_part(_gauss(rng, (n, n), field))
+    DJ = spec.j_scale * skew_part(_gauss(rng, (n, n), field))
+    DH = spec.h_scale * sym_part(_gauss(rng, (n, n), field))
     DB = spec.b_scale * _gauss(rng, (n, m), field)
     norm = math.sqrt(
         np.linalg.norm(DJ) ** 2 + np.linalg.norm(DH) ** 2 + np.linalg.norm(DB) ** 2

@@ -405,6 +405,59 @@ class TestConfigFileValues:
         assert "usage error:" in err
 
 
+class TestBoundaryValues:
+    """Non-finite floats and counts below 1 are usage errors in every
+    command, from a flag or from a config file, before anything is printed."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["prop1", "--x", "nan"], id="prop1-x-nan"),
+        pytest.param(["prop1", "--x", "inf"], id="prop1-x-inf"),
+        pytest.param(["dist-unctrb", "--margin", "nan"], id="dist-margin-nan"),
+        pytest.param(["mc-genericity", "--j-scale", "nan"], id="mc-j_scale-nan"),
+        pytest.param(["mc-genericity", "--j-scale", "inf"], id="mc-j_scale-inf"),
+        pytest.param(["mc-genericity", "--b-scale=-inf"], id="mc-b_scale-ninf"),
+        pytest.param(["mc-genericity", "--h-law", "shifted-gram", "--gram-eps", "inf"],
+                     id="mc-gram_eps-inf"),
+        pytest.param(["mc-genericity", "--rank-rel-tol", "nan"], id="mc-rank_rel_tol-nan"),
+        pytest.param(["perturb-probe", "--eps-grid", "0,nan"], id="probe-eps_grid-nan"),
+        pytest.param(["check", "--pbh-tol", "nan"], id="check-pbh_tol-nan"),
+        pytest.param(["validate", "--tol", "inf"], id="validate-tol-inf"),
+        pytest.param(["mc-genericity", "--trials", "0"], id="mc-trials-0"),
+        pytest.param(["perturb-probe", "--trials-per-eps", "0"], id="probe-trials_per_eps-0"),
+        pytest.param(["prop1", "--i-max", "0"], id="prop1-i_max-0"),
+        pytest.param(["sample", "--count", "0"], id="sample-count-0"),
+    ])
+    def test_flag_is_usage_error(self, capsys, tmp_path, argv):
+        # --in names a valid system so only the flag under test can fail
+        path = witness_file(tmp_path, 2, 1)
+        capsys.readouterr()
+        if argv[0] in ("dist-unctrb", "check", "validate"):
+            argv = argv + ["--in", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("command,text", [
+        pytest.param("prop1", '{"x": NaN}', id="x-NaN"),
+        pytest.param("mc-genericity", '{"j_scale": Infinity}', id="j_scale-Infinity"),
+        pytest.param("mc-genericity", '{"b_scale": -Infinity}', id="b_scale-minus-Infinity"),
+        pytest.param("mc-genericity", '{"j_scale": 1e999}', id="j_scale-overflow"),
+        pytest.param("perturb-probe", '{"eps_grid": [0, NaN]}', id="eps_grid-list-NaN"),
+        pytest.param("mc-genericity", '{"trials": 0}', id="trials-0"),
+        pytest.param("perturb-probe", '{"trials_per_eps": -3}', id="trials_per_eps-negative"),
+        pytest.param("prop1", '{"i_max": 0}', id="i_max-0"),
+        pytest.param("sample", '{"count": 0}', id="count-0"),
+    ])
+    def test_config_value_is_usage_error(self, capsys, tmp_path, command, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
+
 class TestNonFiniteInput:
     def write(self, tmp_path, data):
         path = tmp_path / "in.json"

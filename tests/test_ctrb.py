@@ -100,6 +100,12 @@ class TestRankSvd:
         with pytest.raises(ValueError):
             rank_svd(KalmanMatrix(np.eye(2), Dims(2, 1)), rel_tol=0.0)
 
+    def test_nan_rel_tol_rejected(self):
+        # a NaN threshold would count no singular value and call every
+        # system uncontrollable
+        with pytest.raises(ValueError):
+            rank_svd(KalmanMatrix(np.eye(2), Dims(2, 1)), rel_tol=float("nan"))
+
 
 class TestStaircase:
     def test_zero_b(self):

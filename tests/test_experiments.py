@@ -7,10 +7,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from phctrl import core as core_mod
+from phctrl import experiments as experiments_mod
+from phctrl import sample as sample_mod
 from phctrl.core import Dims, PHTSystem, ScalarField, validate_ph
-from phctrl.ctrb import canonical_witness
-from phctrl.errors import BaseNotUncontrollable
+from phctrl.ctrb import (
+    DEFAULT_PBH_TOL,
+    canonical_witness,
+    kalman_matrix,
+    pbh_check,
+    rank_svd,
+    resolve_rel_tol,
+)
+from phctrl.errors import (
+    BaseNotUncontrollable,
+    DegenerateDraw,
+    ExperimentError,
+    PhctrlError,
+    SvdFailure,
+)
 from phctrl.experiments import (
+    CHUNK,
     GridSpec,
     IntervalUnion,
     PI_SQUARED_THIRD,
@@ -22,7 +39,15 @@ from phctrl.experiments import (
     run_nowhere_density_probe,
     stable_json,
 )
-from phctrl.sample import SamplerSpec, sample_uncontrollable, stream
+from phctrl.sample import (
+    PerturbationSpec,
+    SamplerSpec,
+    ShiftedGram,
+    Wishart,
+    sample_ph,
+    sample_uncontrollable,
+    stream,
+)
 
 
 class TestGenericityTrial:
@@ -74,6 +99,200 @@ class TestGenericityTrial:
         report = run_genericity_trial(spec, 200, cross_check=True)
         assert report.fraction == 1.0
         assert report.pbh_agreements == 200
+
+
+def per_trial_rows(spec, trials, rank_rel_tol=None, cross_check=False):
+    """Reference: the public per-trial composition, one trial at a time,
+    with the failing trial's index attached as run_genericity_trial does."""
+    sigma_n, controllable, agreed = [], [], []
+    for i in range(trials):
+        try:
+            system = sample_ph(spec, stream(spec.seed, i))
+            report = rank_svd(kalman_matrix(system), rank_rel_tol)
+            if cross_check:
+                agreed.append(pbh_check(system, DEFAULT_PBH_TOL) == report.controllable)
+        except PhctrlError as e:
+            raise ExperimentError(i, e) from e
+        sigma_n.append(report.singular_values[spec.dims.n - 1])
+        controllable.append(report.controllable)
+    return sigma_n, controllable, sum(agreed)
+
+
+def chunked_rows(spec, trials, rank_rel_tol=None, cross_check=False):
+    """The same rows from the chunked evaluation run_genericity_trial uses."""
+    rel_tol = resolve_rel_tol(spec.dims, rank_rel_tol)
+    sigma_n, controllable, agreed = [], [], 0
+    for start in range(0, trials, CHUNK):
+        rows = range(start, min(start + CHUNK, trials))
+        s, c, a = experiments_mod._trial_rows(spec, rows, rel_tol, DEFAULT_PBH_TOL,
+                                              cross_check)
+        sigma_n += s.tolist()
+        controllable += c.tolist()
+        agreed += a
+    return sigma_n, controllable, agreed
+
+
+def report_fields(report):
+    d = report.to_dict()
+    return {k: d[k] for k in ("trials", "controllable_count", "fraction", "min_sigma_n",
+                              "sigma_n_stats", "pbh_agreements")}
+
+
+def reference_fields(spec, trials, rank_rel_tol=None, cross_check=False):
+    sigma_n, controllable, agreed = per_trial_rows(spec, trials, rank_rel_tol, cross_check)
+    ordered = sorted(sigma_n)
+    stats = {"min": ordered[0], "median": ordered[trials // 2], "max": ordered[-1]}
+    count = sum(controllable)
+    return {"trials": trials, "controllable_count": count, "fraction": count / trials,
+            "min_sigma_n": stats["min"], "sigma_n_stats": stats,
+            "pbh_agreements": agreed if cross_check else None}
+
+
+def gate_with(extra_rejection):
+    """The positive definiteness gate, also rejecting where extra_rejection(H,
+    smallest) holds; installed where validate_ph and sample_ph_rows read it."""
+    gate = core_mod.pd_gate
+
+    def patched(H, delta=None):
+        smallest, delta, rejected = gate(H, delta)
+        return smallest, delta, rejected | extra_rejection(H, smallest)
+
+    return patched
+
+
+def install_gate(monkeypatch, patched):
+    monkeypatch.setattr(core_mod, "pd_gate", patched)
+    monkeypatch.setattr(sample_mod, "pd_gate", patched)
+
+
+class TestChunkedTrials:
+    """run_genericity_trial evaluates trials in stacked chunks; every row and
+    every report byte equals the per-trial composition
+    rank_svd(kalman_matrix(sample_ph(spec, stream(seed, i))))."""
+
+    @pytest.mark.parametrize("trials", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("field", list(ScalarField))
+    @pytest.mark.parametrize("law", [Wishart(), ShiftedGram(0.25)], ids=["wishart", "gram"])
+    def test_matches_per_trial(self, trials, field, law):
+        spec = SamplerSpec(Dims(4, 2), field=field, h_law=law, j_scale=0.7,
+                           b_scale=1.5, seed=950 + trials)
+        assert report_fields(run_genericity_trial(spec, trials)) == \
+            reference_fields(spec, trials)
+        assert chunked_rows(spec, trials) == per_trial_rows(spec, trials)
+
+    @pytest.mark.parametrize("chunk", [1, 7, CHUNK + 1])
+    def test_no_byte_depends_on_chunk_size(self, monkeypatch, chunk):
+        spec = SamplerSpec(Dims(3, 2), field=ScalarField.COMPLEX, seed=958)
+        expected = stable_json(run_genericity_trial(spec, CHUNK + 2, cross_check=True).to_dict())
+        monkeypatch.setattr(experiments_mod, "CHUNK", chunk)
+        report = run_genericity_trial(spec, CHUNK + 2, cross_check=True)
+        assert stable_json(report.to_dict()) == expected
+
+    @pytest.mark.parametrize("dims", [Dims(1, 1), Dims(8, 3), Dims(6, 1)])
+    def test_explicit_rank_rel_tol(self, dims):
+        # a coarse threshold makes some draws uncontrollable
+        spec = SamplerSpec(dims, seed=951)
+        fields = report_fields(run_genericity_trial(spec, CHUNK + 5, rank_rel_tol=1e-3))
+        assert fields == reference_fields(spec, CHUNK + 5, 1e-3)
+        if dims.n > 1:
+            assert fields["controllable_count"] < CHUNK + 5
+
+    @pytest.mark.parametrize("field", list(ScalarField))
+    def test_cross_check(self, field):
+        spec = SamplerSpec(Dims(3, 1), field=field, seed=952)
+        report = run_genericity_trial(spec, CHUNK + 7, cross_check=True, rank_rel_tol=1e-6)
+        assert report_fields(report) == reference_fields(spec, CHUNK + 7, 1e-6, True)
+
+    def test_rejected_rows_redraw_bitwise(self, monkeypatch):
+        # reject the first attempt of chosen trials: those rows, and only
+        # those, redraw H and B from their own stream
+        spec = SamplerSpec(Dims(3, 2), field=ScalarField.COMPLEX, seed=953)
+        trials = 2 * CHUNK + 3
+        chosen = (0, CHUNK - 1, CHUNK + 2, 2 * CHUNK + 2)
+        first_h = {sample_ph(spec, stream(spec.seed, i)).H.tobytes() for i in chosen}
+        seen = []
+
+        def first_attempt_of_chosen(H, smallest):
+            hit = np.array([h.tobytes() in first_h for h in H.reshape((-1,) + H.shape[-2:])])
+            seen.append(int(hit.sum()))
+            return hit.reshape(smallest.shape)
+
+        install_gate(monkeypatch, gate_with(first_attempt_of_chosen))
+        expected = per_trial_rows(spec, trials)
+        seen.clear()
+        assert chunked_rows(spec, trials) == expected
+        assert sum(seen) == len(chosen)
+        monkeypatch.undo()
+        assert per_trial_rows(spec, trials) != expected  # the redraws moved rows
+
+    def test_repeated_rejections_bitwise(self, monkeypatch):
+        # a raised floor rejects about one attempt in four, so rows retry up
+        # to four times; no row runs out of attempts at this seed
+        spec = SamplerSpec(Dims(3, 1), seed=954)
+        install_gate(monkeypatch, gate_with(lambda H, smallest: smallest < 0.01))
+        trials = CHUNK + 9
+        expected = per_trial_rows(spec, trials)
+        assert chunked_rows(spec, trials) == expected
+        assert report_fields(run_genericity_trial(spec, trials)) == \
+            reference_fields(spec, trials)
+
+    @pytest.mark.parametrize("seed", [955, 959, 970])  # first in chunk 0, 1, 2
+    def test_degenerate_draw_index(self, monkeypatch, seed):
+        # a floor that rejects most attempts exhausts MAX_PD_RETRIES on some
+        # trials; the chunk names the first of them, as the loop would
+        spec = SamplerSpec(Dims(2, 1), seed=seed)
+        install_gate(monkeypatch, gate_with(lambda H, smallest: smallest < 0.05))
+        with pytest.raises(ExperimentError) as ref:
+            per_trial_rows(spec, 3 * CHUNK)
+        with pytest.raises(ExperimentError) as got:
+            run_genericity_trial(spec, 3 * CHUNK)
+        assert isinstance(ref.value.__cause__, DegenerateDraw)
+        assert isinstance(got.value.__cause__, DegenerateDraw)
+        assert got.value.trial == ref.value.trial
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("seed,gate_floor", [
+        (3, None), (10, None), (4, None),  # first SVD failure in chunk 0, 1, 2
+        (6, 3e-3),  # a draw failure, then an SVD failure, in one chunk
+        (18, 3e-3), (27, 3e-3),  # an SVD failure, then a draw failure, in one chunk
+    ])
+    def test_svd_failure_index(self, monkeypatch, seed, gate_floor):
+        # J scaled so far that (JH)^7 B overflows on a few trials: their SVD
+        # fails.  With a raised PD floor, draw failures compete with SVD
+        # failures and the earliest trial must win either way.
+        spec = SamplerSpec(Dims(8, 1), j_scale=2e43, seed=seed)
+        if gate_floor is not None:
+            install_gate(monkeypatch, gate_with(lambda H, smallest: smallest < gate_floor))
+        with np.errstate(all="ignore"):
+            with pytest.raises(ExperimentError) as ref:
+                per_trial_rows(spec, 400)
+            with pytest.raises(ExperimentError) as got:
+                run_genericity_trial(spec, 400)
+        assert got.value.trial == ref.value.trial
+        assert type(got.value.__cause__) is type(ref.value.__cause__)
+        assert str(got.value) == str(ref.value)
+        if gate_floor is None:
+            assert isinstance(got.value.__cause__, SvdFailure)
+
+
+class TestSpecsRejectNonFinite:
+    @pytest.mark.parametrize("make", [
+        lambda: SamplerSpec(Dims(2, 1), j_scale=float("nan")),
+        lambda: SamplerSpec(Dims(2, 1), j_scale=math.inf),
+        lambda: SamplerSpec(Dims(2, 1), b_scale=float("nan")),
+        lambda: SamplerSpec(Dims(2, 1), h_law=ShiftedGram(math.inf)),
+        lambda: SamplerSpec(Dims(2, 1), h_law=ShiftedGram(float("nan"))),
+        lambda: PerturbationSpec(float("nan")),
+        lambda: PerturbationSpec(math.inf),
+        lambda: PerturbationSpec(1e-3, j_scale=float("nan")),
+        lambda: PerturbationSpec(1e-3, h_scale=math.inf),
+        lambda: PerturbationSpec(1e-3, b_scale=float("nan")),
+        lambda: GridSpec(margin=float("nan")),
+        lambda: GridSpec(margin=-math.inf),
+    ])
+    def test_rejected_at_construction(self, make):
+        with pytest.raises(ValueError):
+            make()
 
 
 class TestNowhereDensityProbe:
