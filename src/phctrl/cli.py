@@ -107,8 +107,12 @@ class _Key(NamedTuple):
     rule: tuple[Callable[[object], bool], str] | None = None
 
 
+def _at_least(low: int) -> tuple[Callable[[object], bool], str]:
+    return (lambda value: value >= low, f"at least {low}")
+
+
 _FINITE = (_finite, "finite")
-_POSITIVE_COUNT = (lambda value: value >= 1, "at least 1")
+_POSITIVE_COUNT = _at_least(1)
 _INT = (int,)
 _NUMBER = (int, float)
 _OR_NULL = (type(None),)
@@ -118,12 +122,13 @@ _INT_FLAG = {"type": int}
 _SWITCH = {"action": argparse.BooleanOptionalAction}
 
 _KEYS = {
-    "n": _Key(_INT, _INT_FLAG, "state dimension"),
-    "m": _Key(_INT, _INT_FLAG, "input dimension"),
+    "n": _Key(_INT, _INT_FLAG, "state dimension", _POSITIVE_COUNT),
+    "m": _Key(_INT, _INT_FLAG, "input dimension", _POSITIVE_COUNT),
     "field": _Key((str,), {"choices": ("real", "complex")}, "scalar field"),
     "kind": _Key((str,), {"choices": ("ph", "pht", "uncontrollable")},
                  "H positive definite, H indefinite, or k unreachable states"),
-    "k": _Key(_INT, _INT_FLAG, "unreachable states (kind=uncontrollable)"),
+    "k": _Key(_INT, _INT_FLAG, "unreachable states (kind=uncontrollable)",
+              _POSITIVE_COUNT),
     "h_law": _Key((str,), {"choices": ("wishart", "shifted-gram")},
                   "law of H (a config file may also write shifted_gram)"),
     "wishart_p": _Key(_INT + _OR_NULL, _INT_FLAG, "Wishart degrees of freedom (n if unset)"),
@@ -140,13 +145,14 @@ _KEYS = {
                      "comma-separated step sizes, e.g. 0,1e-8,1e-4 (a config "
                      "file may give a list)", _FINITE),
     "trials_per_eps": _Key(_INT, _INT_FLAG, "perturbations per step size", _POSITIVE_COUNT),
-    "max_retries": _Key(_INT, _INT_FLAG, "step halvings allowed per perturbation"),
+    "max_retries": _Key(_INT, _INT_FLAG, "step halvings allowed per perturbation",
+                        _at_least(0)),
     "tol": _Key(_NUMBER, _FLOAT_FLAG, "symmetry residual gate", _FINITE),
     "ph": _Key(_BOOL, _SWITCH, "also require H positive definite"),
     "delta": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG, "positive definiteness margin", _FINITE),
     "pbh_tol": _Key(_NUMBER, _FLOAT_FLAG, "PBH threshold relative to ||JH|| + ||B||", _FINITE),
-    "grid_points": _Key(_INT, _INT_FLAG, "grid points per axis"),
-    "refine_levels": _Key(_INT, _INT_FLAG, "grid refinement levels"),
+    "grid_points": _Key(_INT, _INT_FLAG, "grid points per axis", _at_least(3)),
+    "refine_levels": _Key(_INT, _INT_FLAG, "grid refinement levels", _at_least(0)),
     "margin": _Key(_NUMBER, _FLOAT_FLAG, "grid half-width beyond ||JH||", _FINITE),
     "i_max": _Key(_INT, _INT_FLAG, "number of intervals", _POSITIVE_COUNT),
     "x": _Key(_NUMBER + _OR_NULL, _FLOAT_FLAG, "point to test for coverage", _FINITE),

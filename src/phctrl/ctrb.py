@@ -10,7 +10,8 @@ Four routes to the same verdict, with very different conditioning:
   reachability space, read from an orthonormal block Krylov basis
   instead of from powers of JH, so it does not saturate with n;
 * all order-n minors of that matrix: exponential in count, intended as
-  a small-instance oracle only;
+  a small-instance oracle only; they are evaluated in bounded stacked
+  chunks, and no value depends on the chunk size;
 * the eigenvector (PBH) test on the pencil [JH - lam I, B]: an absolute
   margin per eigenvalue, well conditioned, kept as an independent
   certificate precisely because the first one saturates.
@@ -30,6 +31,8 @@ from .errors import CombinatorialBlowup, EigenFailure, SvdFailure
 DEFAULT_MINOR_CAP = 200_000
 DEFAULT_MINOR_REL_TOL = 1e-10
 DEFAULT_PBH_TOL = 1e-8
+# matrix entries per stacked determinant call in minors_order_n
+_MINOR_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +81,10 @@ class MinorSet:
 
         The tolerance scales with ||K||_2^n to match the degree-n
         homogeneity of determinants; with rel_tol = 0 this is the exact
-        criterion |minor| > 0.
+        criterion |minor| > 0.  A negative or NaN rel_tol is refused.
         """
+        if not rel_tol >= 0:  # NaN would call every system uncontrollable
+            raise ValueError(f"rel_tol must be nonnegative, got {rel_tol}")
         tol = rel_tol * self.spectral_norm ** self.dims.n
         return bool(np.any(np.abs(self.values) > tol))
 
@@ -87,14 +92,16 @@ class MinorSet:
 def krylov_blocks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[B, AB, ..., A^{n-1}B] over a stack: A (..., n, n), B (..., n, m)
     give (..., n, nm).  Block j is A times block j-1; powers of A are
-    never formed explicitly."""
+    never formed explicitly.  An overflow is left in K as Inf or NaN,
+    for singular_values to refuse."""
     n, m = B.shape[-2:]
     K = np.empty(B.shape[:-1] + (n * m,), dtype=np.result_type(A, B))
     block = B
     K[..., :m] = block
-    for j in range(1, n):
-        block = A @ block
-        K[..., j * m:(j + 1) * m] = block
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, n):
+            block = A @ block
+            K[..., j * m:(j + 1) * m] = block
     return K
 
 
@@ -116,7 +123,12 @@ def resolve_rel_tol(dims: Dims, rel_tol: float | None = None) -> float:
 
 def singular_values(K: np.ndarray) -> np.ndarray:
     """Singular values of a reachability matrix, or of each in a stack
-    (..., n, nm), in descending order."""
+    (..., n, nm), in descending order.  Non-finite entries (an overflow
+    in the Krylov recurrence) raise SvdFailure before LAPACK runs, so a
+    NaN singular value never reads as a rank deficiency."""
+    if not np.isfinite(K).all():
+        raise SvdFailure("the reachability matrix has non-finite entries "
+                         "(overflow in the Krylov recurrence)")
     try:
         return np.linalg.svd(K, compute_uv=False)
     except np.linalg.LinAlgError as e:
@@ -197,17 +209,25 @@ def minors_order_n(kal: KalmanMatrix, cap: int = DEFAULT_MINOR_CAP) -> MinorSet:
     Column subsets are enumerated in lexicographic order and each
     determinant is computed by LU with partial pivoting.  The count
     q = C(nm, n) grows combinatorially, so enumeration refuses beyond
-    the cap.
+    the cap before any determinant is taken.  The determinants are
+    evaluated in stacked chunks of at most _MINOR_CHUNK_ENTRIES matrix
+    entries, which bounds memory; LAPACK factors each matrix of a stack
+    on its own, so no value depends on the chunk size.
     """
     n, m = kal.dims.n, kal.dims.m
     q = math.comb(n * m, n)
     if q > cap:
         raise CombinatorialBlowup(q, cap)
     K = kal.K
-    values = np.array(
-        [np.linalg.det(K[:, list(cols)]) for cols in itertools.combinations(range(n * m), n)],
-        dtype=K.dtype,
-    )
+    values = np.empty(q, dtype=K.dtype)
+    step = max(1, _MINOR_CHUNK_ENTRIES // (n * n))
+    subsets = itertools.combinations(range(n * m), n)
+    for start in range(0, q, step):
+        c = min(step, q - start)
+        cols = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, c)),
+                           dtype=np.intp, count=c * n).reshape(c, n)
+        # K[:, cols] is (n, c, n); matrix i of the stack is K[:, cols[i]]
+        values[start:start + c] = np.linalg.det(np.moveaxis(K[:, cols], 0, 1))
     spectral_norm = float(np.linalg.norm(K, 2))
     return MinorSet(values=values, q=q, dims=kal.dims, spectral_norm=spectral_norm)
 
@@ -217,8 +237,11 @@ def pbh_check(sys: AnySystem, tol: float = DEFAULT_PBH_TOL) -> bool:
 
     True iff sigma_min([JH - lam I, B]) > tol * (||JH||_2 + ||B||_2) for
     every eigenvalue lam.  The default tol sits far above eigensolver
-    forward error and far below the margins of generic systems.
+    forward error and far below the margins of generic systems.  tol = 0
+    asks only sigma_min > 0; a negative or NaN tol is refused.
     """
+    if not tol >= 0:  # NaN would call every system uncontrollable
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     A = system_matrix(sys)
     B = sys.B
     n = sys.dims.n

@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,19 @@ class TestProp1:
         assert "partial measure" in out
 
 
+class TestOverflow:
+    def test_krylov_overflow_is_named(self, capsys):
+        # (JH)^7 B overflows at this scale
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "mc-genericity", "--n", "8", "--m", "1",
+                                 "--j-scale", "1e44", "--trials", "3")
+        assert code == 1
+        assert "overflow" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -327,7 +341,8 @@ class TestUsageErrors:
         assert run(capsys, "--help")[0] == 0
 
     def test_domain_error_bad_dims(self, capsys):
-        code, _, err = run(capsys, "witness", "--n", "0")
+        # each key is valid alone; k < n is a cross-key rule of the library
+        code, _, err = run(capsys, "sample", "--kind", "uncontrollable", "--n", "2", "--k", "2")
         assert code == 1
         assert "error:" in err
 
@@ -406,8 +421,9 @@ class TestConfigFileValues:
 
 
 class TestBoundaryValues:
-    """Non-finite floats and counts below 1 are usage errors in every
-    command, from a flag or from a config file, before anything is printed."""
+    """Non-finite floats and integers below their minimum are usage errors
+    in every command, from a flag or from a config file, before anything
+    is printed."""
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["prop1", "--x", "nan"], id="prop1-x-nan"),
@@ -426,6 +442,13 @@ class TestBoundaryValues:
         pytest.param(["perturb-probe", "--trials-per-eps", "0"], id="probe-trials_per_eps-0"),
         pytest.param(["prop1", "--i-max", "0"], id="prop1-i_max-0"),
         pytest.param(["sample", "--count", "0"], id="sample-count-0"),
+        pytest.param(["witness", "--n", "0"], id="witness-n-0"),
+        pytest.param(["sample", "--n", "0"], id="sample-n-0"),
+        pytest.param(["sample", "--m", "0"], id="sample-m-0"),
+        pytest.param(["perturb-probe", "--k", "0"], id="probe-k-0"),
+        pytest.param(["perturb-probe", "--max-retries", "-1"], id="probe-max_retries-negative"),
+        pytest.param(["dist-unctrb", "--grid-points", "2"], id="dist-grid_points-2"),
+        pytest.param(["dist-unctrb", "--refine-levels", "-1"], id="dist-refine_levels-negative"),
     ])
     def test_flag_is_usage_error(self, capsys, tmp_path, argv):
         # --in names a valid system so only the flag under test can fail
@@ -448,6 +471,12 @@ class TestBoundaryValues:
         pytest.param("perturb-probe", '{"trials_per_eps": -3}', id="trials_per_eps-negative"),
         pytest.param("prop1", '{"i_max": 0}', id="i_max-0"),
         pytest.param("sample", '{"count": 0}', id="count-0"),
+        pytest.param("sample", '{"n": 0}', id="n-0"),
+        pytest.param("mc-genericity", '{"m": 0}', id="m-0"),
+        pytest.param("perturb-probe", '{"k": 0}', id="k-0"),
+        pytest.param("perturb-probe", '{"max_retries": -1}', id="max_retries-negative"),
+        pytest.param("dist-unctrb", '{"grid_points": 1}', id="grid_points-1"),
+        pytest.param("dist-unctrb", '{"refine_levels": -2}', id="refine_levels-negative"),
     ])
     def test_config_value_is_usage_error(self, capsys, tmp_path, command, text):
         cfg = tmp_path / "cfg.json"
@@ -456,6 +485,12 @@ class TestBoundaryValues:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")
+
+    def test_minimums_are_accepted(self, capsys, tmp_path):
+        path = witness_file(tmp_path, 2, 1)
+        code, out, _ = run(capsys, "dist-unctrb", "--grid-points", "3", "--refine-levels", "0",
+                           "--in", str(path))
+        assert code == 0 and out
 
 
 class TestNonFiniteInput:

@@ -1,9 +1,12 @@
 """Controllability certificates: reachability matrix, rank, staircase,
 minors, PBH."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from phctrl import ctrb
 from phctrl.core import Dims, PHTSystem, ScalarField, system_matrix, validate_pht
 from phctrl.ctrb import (
     DEFAULT_PBH_TOL,
@@ -15,7 +18,7 @@ from phctrl.ctrb import (
     rank_svd,
     staircase_rank,
 )
-from phctrl.errors import CombinatorialBlowup
+from phctrl.errors import CombinatorialBlowup, SvdFailure
 from phctrl.sample import (
     SamplerSpec,
     sample_ph,
@@ -29,6 +32,17 @@ EPS = float(np.finfo(np.float64).eps)
 
 def system_of(J, H, B):
     return validate_pht(J, H, B, tol=0.0)
+
+
+def per_subset_minors(K, dims):
+    """Reference: one determinant per column subset, in lexicographic order."""
+    subsets = itertools.combinations(range(dims.n * dims.m), dims.n)
+    return np.array([np.linalg.det(K[:, list(cols)]) for cols in subsets], dtype=K.dtype)
+
+
+def assert_same_bytes(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
 
 
 class TestKalmanMatrix:
@@ -105,6 +119,23 @@ class TestRankSvd:
         # system uncontrollable
         with pytest.raises(ValueError):
             rank_svd(KalmanMatrix(np.eye(2), Dims(2, 1)), rel_tol=float("nan"))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries_refused(self, bad):
+        K = np.eye(2)
+        K[1, 1] = bad
+        with pytest.raises(SvdFailure, match="overflow"):
+            rank_svd(KalmanMatrix(K, Dims(2, 1)))
+
+    def test_krylov_overflow_is_silent(self):
+        # the recurrence leaves Inf/NaN in K without a RuntimeWarning;
+        # singular_values names it
+        A = 1e200 * system_matrix(canonical_witness(3, 1))
+        with np.errstate(all="raise"):
+            K = ctrb.krylov_blocks(A, np.array([[1.0], [0.0], [0.0]]))
+            assert not np.isfinite(K).all()
+            with pytest.raises(SvdFailure, match="non-finite"):
+                ctrb.singular_values(K)
 
 
 class TestStaircase:
@@ -185,6 +216,61 @@ class TestMinors:
         assert exc.value.cap == 200_000
         assert minors_order_n(K, cap=600_000).q == 593775
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: canonical_witness(3, 1), id="witness-q1"),
+        pytest.param(lambda: sample_ph(SamplerSpec(Dims(4, 1), seed=8), stream(8, 0)),
+                     id="ph-q1"),
+        pytest.param(lambda: sample_ph(SamplerSpec(Dims(3, 2), seed=8), stream(8, 1)),
+                     id="ph-one-chunk"),
+        pytest.param(lambda: sample_pht(SamplerSpec(Dims(4, 3), field=ScalarField.COMPLEX,
+                                                    seed=8), stream(8, 2)),
+                     id="pht-complex-one-chunk"),
+        pytest.param(lambda: sample_pht(SamplerSpec(Dims(5, 4), seed=8), stream(8, 3)),
+                     id="pht-real-many-chunks"),
+        pytest.param(lambda: sample_ph(SamplerSpec(Dims(4, 5), field=ScalarField.COMPLEX,
+                                                   seed=8), stream(8, 4)),
+                     id="ph-complex-many-chunks"),
+        pytest.param(lambda: sample_ph(SamplerSpec(Dims(6, 3), seed=8), stream(8, 5)),
+                     id="ph-real-n6-many-chunks"),
+    ])
+    def test_matches_per_subset_reference(self, make):
+        kal = kalman_matrix(make())
+        assert not kal.K.flags.writeable
+        assert_same_bytes(minors_order_n(kal).values, per_subset_minors(kal.K, kal.dims))
+
+    @pytest.mark.parametrize("entries", [
+        1,            # one matrix per chunk
+        9 * 42,       # two full chunks
+        9 * 83,       # one full chunk and a chunk of one
+        9 * 84,       # q exactly one chunk
+        9 * 85,       # one chunk larger than q
+    ])
+    def test_no_value_depends_on_chunk_size(self, monkeypatch, entries):
+        # (3, 3): q = C(9, 3) = 84 minors of 9 entries each
+        kal = kalman_matrix(sample_pht(SamplerSpec(Dims(3, 3), field=ScalarField.COMPLEX,
+                                                   seed=9), stream(9, 0)))
+        monkeypatch.setattr(ctrb, "_MINOR_CHUNK_ENTRIES", entries)
+        assert_same_bytes(minors_order_n(kal).values, per_subset_minors(kal.K, kal.dims))
+
+    def test_cap_checked_before_any_determinant(self, monkeypatch):
+        def no_det(a):
+            raise AssertionError("determinant taken before the cap check")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        with pytest.raises(CombinatorialBlowup):
+            minors_order_n(kalman_matrix(canonical_witness(6, 5)))
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), -1.0])
+    def test_nan_or_negative_rel_tol_rejected(self, rel_tol):
+        ms = minors_order_n(kalman_matrix(canonical_witness(3, 1)))
+        with pytest.raises(ValueError):
+            ms.controllable(rel_tol=rel_tol)
+
+    def test_zero_rel_tol_is_exact_criterion(self):
+        sys = system_of(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
+        assert not minors_order_n(kalman_matrix(sys)).controllable(rel_tol=0.0)
+        assert minors_order_n(kalman_matrix(canonical_witness(3, 1))).controllable(rel_tol=0.0)
+
     def test_verdict_scale_invariance(self):
         spec = SamplerSpec(Dims(3, 1), seed=14)
         for i in range(20):
@@ -209,6 +295,15 @@ class TestPbh:
     def test_zero_b(self):
         sys = system_of([[0.0, -1.0], [1.0, 0.0]], np.eye(2), [[0.0], [0.0]])
         assert not pbh_check(sys)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            pbh_check(canonical_witness(3, 1), tol)
+
+    def test_zero_tol_is_legal(self):
+        assert pbh_check(canonical_witness(3, 1), 0.0)
+        assert not pbh_check(system_of(np.zeros((2, 2)), np.eye(2), np.zeros((2, 1))), 0.0)
 
     def test_matches_rank_on_random_systems(self):
         spec = SamplerSpec(Dims(3, 2), seed=77)
