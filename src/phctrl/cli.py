@@ -45,9 +45,11 @@ from .errors import PhctrlError
 from .experiments import (
     GridSpec,
     PI_SQUARED_THIRD,
+    csv_table,
     distance_to_uncontrollability,
     prop1_membership,
     prop1_partial_measure,
+    report_json,
     run_genericity_trial,
     run_nowhere_density_probe,
 )
@@ -334,13 +336,10 @@ def _cmd_mc_genericity(args: argparse.Namespace, cfg: dict) -> int:
     if args.json_out:
         _write_text(args.json_out, report.to_json() + "\n")
     if args.csv_out:
-        header = "n,m,field,trials,controllable_count,fraction,min_sigma_n,seed"
-        row = (
-            f"{cfg['n']},{cfg['m']},{cfg['field']},{report.trials},"
-            f"{report.controllable_count},{report.fraction!r},"
-            f"{report.min_sigma_n!r},{cfg['seed']}"
-        )
-        _write_text(args.csv_out, header + "\n" + row + "\n")
+        row = {"n": cfg["n"], "m": cfg["m"], "field": cfg["field"], "trials": report.trials,
+               "controllable_count": report.controllable_count, "fraction": report.fraction,
+               "min_sigma_n": report.min_sigma_n, "seed": cfg["seed"]}
+        _write_text(args.csv_out, csv_table(row, [row.values()]))
     return 0
 
 
@@ -395,7 +394,7 @@ def _cmd_dist_unctrb(args: argparse.Namespace, cfg: dict) -> int:
             "lambda": [estimate.lam.real, estimate.lam.imag],
             "evaluations": estimate.evaluations,
         }
-        _write_text(args.json_out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(args.json_out, report_json(payload) + "\n")
     return 0
 
 
@@ -422,7 +421,7 @@ def _cmd_prop1(args: argparse.Namespace, cfg: dict) -> int:
             "limit": PI_SQUARED_THIRD,
             "membership": membership,
         }
-        _write_text(args.json_out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(args.json_out, report_json(payload) + "\n")
     return 0
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
-from typing import IO, Union
+from typing import Union
 
 import numpy as np
 
@@ -188,6 +189,14 @@ def _coerce_triple(J, H, B, field: ScalarField | None):
     return J, H, B, field, Dims(n, B.shape[1])
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F of M scaled by a power of two near its largest entry, scaled
+    back: the scaling is exact, so this is np.linalg.norm(M) bit for bit
+    where that is finite, and finite where squaring the entries overflows."""
+    scale = math.ldexp(1.0, -math.frexp(float(np.abs(M).max(initial=0.0)))[1])
+    return float(np.linalg.norm(M * scale)) / scale
+
+
 def validate_pht(J, H, B, tol: float = DEFAULT_SYMMETRY_TOL,
                  field: ScalarField | None = None) -> PHTSystem:
     """Gate raw matrices on their symmetry residuals, then project.
@@ -206,8 +215,8 @@ def validate_pht(J, H, B, tol: float = DEFAULT_SYMMETRY_TOL,
     J, H, B, field, dims = _coerce_triple(J, H, B, field)
     Jf = _as_field_matrix(J, field, "J")
     Hf = _as_field_matrix(H, field, "H")
-    skew_residual = float(np.linalg.norm(Jf + Jf.conj().T))
-    skew_gate = tol * (1.0 + float(np.linalg.norm(Jf)))
+    skew_residual = _frobenius(Jf + Jf.conj().T)
+    skew_gate = tol * (1.0 + _frobenius(Jf))
     if skew_residual > skew_gate:
         raise StructureViolation(
             f"J is not skew-adjoint: residual {skew_residual:.6e} "
@@ -215,8 +224,8 @@ def validate_pht(J, H, B, tol: float = DEFAULT_SYMMETRY_TOL,
             residual=skew_residual,
             threshold=skew_gate,
         )
-    sym_residual = float(np.linalg.norm(Hf - Hf.conj().T))
-    sym_gate = tol * (1.0 + float(np.linalg.norm(Hf)))
+    sym_residual = _frobenius(Hf - Hf.conj().T)
+    sym_gate = tol * (1.0 + _frobenius(Hf))
     if sym_residual > sym_gate:
         raise StructureViolation(
             f"H is not self-adjoint: residual {sym_residual:.6e} "
@@ -333,8 +342,3 @@ def dumps_system(sys: AnySystem, indent: int | None = None) -> str:
 
 def loads_system(text: str | bytes, tol: float = DEFAULT_SYMMETRY_TOL) -> PHTSystem:
     return system_from_dict(json.loads(text), tol=tol)
-
-
-def dump_system(sys: AnySystem, fp: IO[str], indent: int | None = None) -> None:
-    json.dump(system_to_dict(sys), fp, indent=indent)
-    fp.write("\n")

@@ -212,13 +212,15 @@ def minors_order_n(kal: KalmanMatrix, cap: int = DEFAULT_MINOR_CAP) -> MinorSet:
     the cap before any determinant is taken.  The determinants are
     evaluated in stacked chunks of at most _MINOR_CHUNK_ENTRIES matrix
     entries, which bounds memory; LAPACK factors each matrix of a stack
-    on its own, so no value depends on the chunk size.
+    on its own, so no value depends on the chunk size.  A matrix with
+    non-finite entries raises SvdFailure before any determinant.
     """
     n, m = kal.dims.n, kal.dims.m
     q = math.comb(n * m, n)
     if q > cap:
         raise CombinatorialBlowup(q, cap)
     K = kal.K
+    spectral_norm = float(singular_values(K)[0])  # refuses an overflowed K
     values = np.empty(q, dtype=K.dtype)
     step = max(1, _MINOR_CHUNK_ENTRIES // (n * n))
     subsets = itertools.combinations(range(n * m), n)
@@ -228,8 +230,17 @@ def minors_order_n(kal: KalmanMatrix, cap: int = DEFAULT_MINOR_CAP) -> MinorSet:
                            dtype=np.intp, count=c * n).reshape(c, n)
         # K[:, cols] is (n, c, n); matrix i of the stack is K[:, cols[i]]
         values[start:start + c] = np.linalg.det(np.moveaxis(K[:, cols], 0, 1))
-    spectral_norm = float(np.linalg.norm(K, 2))
     return MinorSet(values=values, q=q, dims=kal.dims, spectral_norm=spectral_norm)
+
+
+def pencil_smin(A: np.ndarray, B: np.ndarray, eye: np.ndarray, lam) -> float:
+    """sigma_min([A - lam I, B]), the PBH pencil at lam.  eye is the
+    identity of A's order, built once by the caller; lam keeps its type,
+    so the pencil keeps the dtype the caller's lam gives it."""
+    try:
+        return float(np.linalg.svd(np.hstack([A - lam * eye, B]), compute_uv=False)[-1])
+    except np.linalg.LinAlgError as e:
+        raise SvdFailure(f"SVD of the PBH pencil failed: {e}") from e
 
 
 def pbh_check(sys: AnySystem, tol: float = DEFAULT_PBH_TOL) -> bool:
@@ -244,23 +255,13 @@ def pbh_check(sys: AnySystem, tol: float = DEFAULT_PBH_TOL) -> bool:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     A = system_matrix(sys)
     B = sys.B
-    n = sys.dims.n
     try:
         lams = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as e:
         raise EigenFailure(f"eigenvalue computation failed: {e}") from e
-    scale = float(np.linalg.norm(A, 2) + np.linalg.norm(B, 2))
-    threshold = tol * scale
-    eye = np.eye(n)
-    for lam in lams:
-        pencil = np.hstack([A - lam * eye, B])
-        try:
-            smin = float(np.linalg.svd(pencil, compute_uv=False)[-1])
-        except np.linalg.LinAlgError as e:
-            raise SvdFailure(f"SVD of the PBH pencil failed: {e}") from e
-        if not smin > threshold:
-            return False
-    return True
+    threshold = tol * float(np.linalg.norm(A, 2) + np.linalg.norm(B, 2))
+    eye = np.eye(sys.dims.n)
+    return all(pencil_smin(A, B, eye, lam) > threshold for lam in lams)
 
 
 def canonical_witness(n: int, m: int) -> PHSystem:

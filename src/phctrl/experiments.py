@@ -16,9 +16,11 @@ Four instruments:
 
 Reports embed their configuration and master seed; rerunning from that
 configuration reproduces a report byte for byte except for wall_time,
-which is the single nondeterministic field.  The Monte Carlo harness
-evaluates its trials in chunks of CHUNK on stacked arrays; each trial
-still draws from its own stream, so no byte depends on the chunk size.
+which is the single nondeterministic field.  Every report is written
+through report_json, and every report table through csv_table.  The
+Monte Carlo harness evaluates its trials in chunks of CHUNK on stacked
+arrays; each trial still draws from its own stream, so no byte depends
+on the chunk size.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,6 +40,7 @@ from .ctrb import (
     kalman_matrix,
     krylov_blocks,
     pbh_check,
+    pencil_smin,
     rank_svd,
     resolve_rel_tol,
     singular_values,
@@ -51,16 +54,39 @@ PI_SQUARED_THIRD = math.pi ** 2 / 3.0
 CHUNK = 128
 
 
-def stable_json(report_dict: dict, volatile: tuple[str, ...] = ("wall_time",)) -> str:
-    """Canonical JSON of a report with the volatile fields zeroed out.
+def report_json(d: dict) -> str:
+    """The report format: JSON with sorted keys and indent 2."""
+    return json.dumps(d, sort_keys=True, indent=2)
+
+
+def stable_json(report_dict: dict) -> str:
+    """report_json with wall_time, the one volatile field, zeroed out.
 
     Two runs of the same seeded experiment produce identical strings.
     """
     d = dict(report_dict)
-    for key in volatile:
-        if key in d:
-            d[key] = 0.0
-    return json.dumps(d, sort_keys=True, indent=2)
+    if "wall_time" in d:
+        d["wall_time"] = 0.0
+    return report_json(d)
+
+
+def csv_table(columns: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """The report CSV: a header line, then one line per row, each value
+    written with str (for a float, str is repr, so it reads back exact)."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class Report:
+    """A dataclass report: to_dict is its fields, recursively, and to_json
+    writes them in the report format."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def to_json(self) -> str:
+        return report_json(self.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +95,7 @@ def stable_json(report_dict: dict, volatile: tuple[str, ...] = ("wall_time",)) -
 
 
 @dataclass
-class ExperimentReport:
+class ExperimentReport(Report):
     """Per-run statistics of a Monte Carlo controllability study."""
 
     config: dict
@@ -81,22 +107,6 @@ class ExperimentReport:
     pbh_agreements: int | None
     seeds: dict
     wall_time: float
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "trials": self.trials,
-            "controllable_count": self.controllable_count,
-            "fraction": self.fraction,
-            "min_sigma_n": self.min_sigma_n,
-            "sigma_n_stats": self.sigma_n_stats,
-            "pbh_agreements": self.pbh_agreements,
-            "seeds": self.seeds,
-            "wall_time": self.wall_time,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _spec_config(spec: SamplerSpec) -> dict:
@@ -223,19 +233,9 @@ class ProbeRow:
     mean_rank: float
     mean_sigma_n: float
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "trials": self.trials,
-            "controllable_count": self.controllable_count,
-            "fraction": self.fraction,
-            "mean_rank": self.mean_rank,
-            "mean_sigma_n": self.mean_sigma_n,
-        }
-
 
 @dataclass
-class ProbeReport:
+class ProbeReport(Report):
     """Perturbation probe results: one row per step size."""
 
     config: dict
@@ -244,27 +244,8 @@ class ProbeReport:
     seeds: dict
     wall_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "base_rank": self.base_rank,
-            "rows": [row.to_dict() for row in self.rows],
-            "seeds": self.seeds,
-            "wall_time": self.wall_time,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     def to_csv(self) -> str:
-        header = "eps,trials,controllable_count,fraction,mean_rank,mean_sigma_n"
-        lines = [header]
-        for row in self.rows:
-            lines.append(
-                f"{row.eps!r},{row.trials},{row.controllable_count},"
-                f"{row.fraction!r},{row.mean_rank!r},{row.mean_sigma_n!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_table([f.name for f in fields(ProbeRow)], map(astuple, self.rows))
 
 
 def run_nowhere_density_probe(base: PHSystem, eps_grid: Sequence[float],
@@ -394,8 +375,7 @@ def distance_to_uncontrollability(sys: AnySystem,
     def smin(lam: complex) -> float:
         nonlocal evaluations
         evaluations += 1
-        pencil = np.hstack([A - lam * eye, B])
-        return float(np.linalg.svd(pencil, compute_uv=False)[-1])
+        return pencil_smin(A, B, eye, lam)
 
     def scan(center: complex, half: float) -> tuple[float, complex]:
         xs = np.linspace(center.real - half, center.real + half, grid.points_per_axis)
@@ -495,15 +475,10 @@ class IntervalUnion:
         xf = Fraction(x)
         if xf <= 0:
             raise ValueError(f"x must be positive, got {x}")
-        cur = Fraction(1)
-        for i in range(1, self.i_max + 1):
-            if abs(xf - cur) < Fraction(1, i * i):
+        for i, center in enumerate(self.centers(), start=1):
+            if abs(xf - center) < Fraction(1, i * i):
                 return MembershipResult(covered=True, witness_index=i)
-            cur = _next_rational(cur)
         return MembershipResult(covered=False, witness_index=None)
-
-    def partial_measure(self) -> float:
-        return prop1_partial_measure(self.i_max)
 
 
 def prop1_partial_measure(i_max: int) -> float:

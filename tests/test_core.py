@@ -1,6 +1,7 @@
 """Structured type construction, projection exactness, and JSON interchange."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,31 @@ class TestValidatePht:
     def test_nonsymmetric_h_rejected(self):
         with pytest.raises(StructureViolation):
             validate_pht(J2, [[1.0, 2.0], [0.0, 1.0]], B2, tol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-5, 3.0, 1e100])
+    def test_residual_and_gate_are_frobenius_norms(self, scale):
+        J = scale * np.array([[1.0, 2.0], [0.5, 0.0]])
+        with pytest.raises(StructureViolation) as exc:
+            validate_pht(J, H2, B2)
+        assert exc.value.residual == np.linalg.norm(J + J.T)
+        assert exc.value.threshold == 1e-9 * (1.0 + np.linalg.norm(J))
+
+    def test_huge_entries_gated_without_overflow(self):
+        # squaring entries near 1e160 overflows; the gate must not become
+        # inf > inf, which would accept any J and H
+        rng = np.random.default_rng(3)
+        J = rng.standard_normal((3, 3))
+        S = rng.standard_normal((3, 3))
+        J, S = J - J.T, S + S.T
+        B = np.ones((3, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureViolation, match="J is not skew"):
+                validate_pht(1e160 * (J + 0.1 * S), np.eye(3), B)
+            with pytest.raises(StructureViolation, match="H is not self"):
+                validate_pht(J, 1e160 * (S + 0.1 * J), B)
+            sys = validate_pht(1e160 * J, 1e160 * S, B)
+        assert np.array_equal(sys.J, 1e160 * J)
 
     def test_small_residual_projected(self):
         # dirt of size 1e-14 passes the 1e-12 gate; the stored matrix is the

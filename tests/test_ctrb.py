@@ -236,7 +236,9 @@ class TestMinors:
     def test_matches_per_subset_reference(self, make):
         kal = kalman_matrix(make())
         assert not kal.K.flags.writeable
-        assert_same_bytes(minors_order_n(kal).values, per_subset_minors(kal.K, kal.dims))
+        ms = minors_order_n(kal)
+        assert_same_bytes(ms.values, per_subset_minors(kal.K, kal.dims))
+        assert ms.spectral_norm == np.linalg.norm(kal.K, 2)
 
     @pytest.mark.parametrize("entries", [
         1,            # one matrix per chunk
@@ -259,6 +261,20 @@ class TestMinors:
         monkeypatch.setattr(np.linalg, "det", no_det)
         with pytest.raises(CombinatorialBlowup):
             minors_order_n(kalman_matrix(canonical_witness(6, 5)))
+
+    def test_overflowed_kalman_matrix_refused(self, monkeypatch, capfd):
+        # J scaled by 1e200 overflows the Krylov recurrence to Inf; a
+        # determinant of it would give a NaN minor and a verdict from NaN
+        w = canonical_witness(3, 1)
+        kal = kalman_matrix(validate_pht(1e200 * w.J, w.H, w.B))
+
+        def no_det(a):
+            raise AssertionError("determinant taken of a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        with pytest.raises(SvdFailure, match="overflow"):
+            minors_order_n(kal)
+        assert "DLASCL" not in capfd.readouterr().err
 
     @pytest.mark.parametrize("rel_tol", [float("nan"), -1.0])
     def test_nan_or_negative_rel_tol_rejected(self, rel_tol):

@@ -377,6 +377,15 @@ class TestDistance:
         d2 = distance_to_uncontrollability(doubled).value
         assert d2 <= 2.0 * d1 + 1e-6
 
+    def test_failed_pencil_svd_is_svd_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        w = canonical_witness(2, 1)
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(SvdFailure, match="PBH pencil"):
+            distance_to_uncontrollability(w)
+
     def test_grid_spec_gates(self):
         with pytest.raises(ValueError):
             GridSpec(points_per_axis=2)

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from phctrl.cli import build_parser, main
-from phctrl.experiments import stable_json
+from phctrl.experiments import report_json, stable_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,6 +118,12 @@ def test_golden_output(name, argv, config, tmp_path):
     assert sorted(got) == sorted(stored)
     for stream, text in got.items():
         assert text == stored[stream], f"{name}.{stream} differs from the golden file"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_json_reports_in_the_report_format(path):
+    text = path.read_text()
+    assert text == report_json(json.loads(text)) + "\n"
 
 
 def test_subcommand_flags():
