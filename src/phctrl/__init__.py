@@ -41,6 +41,7 @@ from .errors import (
     PhctrlError,
     StructureViolation,
     SvdFailure,
+    ToleranceOutOfRange,
 )
 from .experiments import (
     DistanceEstimate,

@@ -24,6 +24,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotPositiveDefinite, StructureViolation
 
 DEFAULT_SYMMETRY_TOL = 1e-9
+# no entry of a matrix within this Frobenius norm overflows M +- M*
+_HALF_MAX = float(np.finfo(np.float64).max) / 2
 
 
 class ScalarField(enum.Enum):
@@ -207,16 +209,24 @@ def validate_pht(J, H, B, tol: float = DEFAULT_SYMMETRY_TOL,
     identities exactly; on already-structured input the projection is the
     identity, entry for entry.
 
-    Raises StructureViolation when a residual exceeds the gate and
-    DimensionMismatch for inconsistent shapes.
+    Raises StructureViolation when a residual exceeds the gate or when
+    the Frobenius norm of J, H or B exceeds half the double range (the
+    projection M +- M* would overflow to Inf), before any gate or
+    projection is taken; DimensionMismatch for inconsistent shapes.
     """
     if not tol >= 0:  # also NaN, which would pass every residual
         raise ValueError(f"tol must be nonnegative, got {tol}")
     J, H, B, field, dims = _coerce_triple(J, H, B, field)
     Jf = _as_field_matrix(J, field, "J")
     Hf = _as_field_matrix(H, field, "H")
+    norms = {}
+    for name, M in (("J", Jf), ("H", Hf), ("B", B)):
+        norms[name] = _frobenius(M)
+        if not norms[name] <= _HALF_MAX:
+            raise StructureViolation(
+                f"{name} has Frobenius norm {norms[name]:.6e} beyond half the double range")
     skew_residual = _frobenius(Jf + Jf.conj().T)
-    skew_gate = tol * (1.0 + _frobenius(Jf))
+    skew_gate = tol * (1.0 + norms["J"])
     if skew_residual > skew_gate:
         raise StructureViolation(
             f"J is not skew-adjoint: residual {skew_residual:.6e} "
@@ -225,7 +235,7 @@ def validate_pht(J, H, B, tol: float = DEFAULT_SYMMETRY_TOL,
             threshold=skew_gate,
         )
     sym_residual = _frobenius(Hf - Hf.conj().T)
-    sym_gate = tol * (1.0 + _frobenius(Hf))
+    sym_gate = tol * (1.0 + norms["H"])
     if sym_residual > sym_gate:
         raise StructureViolation(
             f"H is not self-adjoint: residual {sym_residual:.6e} "

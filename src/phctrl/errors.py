@@ -50,6 +50,10 @@ class EigenFailure(PhctrlError):
     """The eigenvalue computation did not converge."""
 
 
+class ToleranceOutOfRange(PhctrlError):
+    """A verdict tolerance is not a finite double, so no verdict is given."""
+
+
 class CombinatorialBlowup(PhctrlError):
     """Minor enumeration refused: too many column subsets."""
 

@@ -365,41 +365,42 @@ def distance_to_uncontrollability(sys: AnySystem,
     locally around the incumbent.  The result is the best value found,
     an upper bound of the true distance; it is 0 (up to rounding) iff
     some eigenvalue is unreachable.
+
+    Each P x P scan and the eigenvalue seeding are one pencil_smin call:
+    stacked SVDs in chunks of at most ctrb._MINOR_CHUNK_ENTRIES matrix
+    entries.  The incumbent moves only to a strictly smaller value, the
+    first in x-major order or in eigvals order, as one lam at a time
+    would; evaluations counts P^2 per scan plus n.
     """
     A = system_matrix(sys)
     B = np.asarray(sys.B)
-    n = sys.dims.n
-    eye = np.eye(n)
+    P = grid.points_per_axis
     evaluations = 0
 
-    def smin(lam: complex) -> float:
+    def improve(lams: np.ndarray, best_value: float, best_lam: complex):
         nonlocal evaluations
-        evaluations += 1
-        return pencil_smin(A, B, eye, lam)
+        evaluations += len(lams)
+        values = pencil_smin(A, B, lams)
+        below = np.flatnonzero(values < best_value)
+        if below.size:
+            k = below[np.argmin(values[below])]
+            best_value, best_lam = float(values[k]), complex(lams[k])
+        return best_value, best_lam
 
-    def scan(center: complex, half: float) -> tuple[float, complex]:
-        xs = np.linspace(center.real - half, center.real + half, grid.points_per_axis)
-        ys = np.linspace(center.imag - half, center.imag + half, grid.points_per_axis)
-        best_v, best_l = math.inf, center
-        for x in xs:
-            for y in ys:
-                lam = complex(x, y)
-                v = smin(lam)
-                if v < best_v:
-                    best_v, best_l = v, lam
-        return best_v, best_l
+    def scan(center: complex, half: float, best_value: float):
+        xs = np.linspace(center.real - half, center.real + half, P)
+        ys = np.linspace(center.imag - half, center.imag + half, P)
+        i, j = np.divmod(np.arange(P * P), P)
+        lams = np.empty(P * P, dtype=complex)
+        lams.real, lams.imag = xs[i], ys[j]  # complex(x, y), signed zeros kept
+        return improve(lams, best_value, center)
 
     half = float(np.linalg.norm(A, 2)) + grid.margin
-    best_value, best_lam = scan(0j, half)
-    for lam in np.linalg.eigvals(A):
-        v = smin(complex(lam))
-        if v < best_value:
-            best_value, best_lam = v, complex(lam)
+    best_value, best_lam = scan(0j, half, math.inf)
+    best_value, best_lam = improve(np.linalg.eigvals(A).astype(complex), best_value, best_lam)
     for _ in range(grid.refine_levels):
-        half = 5.0 * half / (grid.points_per_axis - 1)
-        v, lam = scan(best_lam, half)
-        if v < best_value:
-            best_value, best_lam = v, lam
+        half = 5.0 * half / (P - 1)
+        best_value, best_lam = scan(best_lam, half, best_value)
     return DistanceEstimate(value=best_value, lam=best_lam, evaluations=evaluations)
 
 

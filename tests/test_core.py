@@ -104,6 +104,33 @@ class TestValidatePht:
             sys = validate_pht(1e160 * J, 1e160 * S, B)
         assert np.array_equal(sys.J, 1e160 * J)
 
+    def test_norm_beyond_double_range_refused(self):
+        # ||J||_F overflows at 1.5e308: the residual and the gate were both
+        # inf, inf > inf accepted J, and the projection stored +-Inf
+        J = np.array(J2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureViolation, match="J has Frobenius norm inf"):
+                validate_pht(1.5e308 * (J + 0.5 * np.eye(2)), np.eye(2), np.ones((2, 1)))
+            with pytest.raises(StructureViolation, match="H has Frobenius norm inf"):
+                validate_pht(J, 1.5e308 * np.eye(2), np.ones((2, 1)))
+            with pytest.raises(StructureViolation, match="B has Frobenius norm inf"):
+                validate_pht(J, np.eye(2), 1.5e308 * np.ones((2, 1)))
+
+    def test_norm_beyond_half_range_refused(self):
+        # a finite ||J||_F above half the range still overflows J - J* in
+        # the projection, so the refusal starts there
+        J = np.array(J2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureViolation, match="beyond half the double range"):
+                validate_pht(1e308 * J, np.eye(2), np.ones((2, 1)))
+            with pytest.raises(StructureViolation, match="beyond half the double range"):
+                validate_pht(J, 1e308 * np.eye(2), np.ones((2, 1)), field=ScalarField.COMPLEX)
+            sys = validate_pht(6e307 * J, np.eye(2), np.ones((2, 1)))
+        assert np.array_equal(sys.J, 6e307 * J)
+        assert np.isfinite(sys.J).all()
+
     def test_small_residual_projected(self):
         # dirt of size 1e-14 passes the 1e-12 gate; the stored matrix is the
         # skew projection computed independently here

@@ -15,10 +15,11 @@ from phctrl.ctrb import (
     kalman_matrix,
     minors_order_n,
     pbh_check,
+    pencil_smin,
     rank_svd,
     staircase_rank,
 )
-from phctrl.errors import CombinatorialBlowup, SvdFailure
+from phctrl.errors import CombinatorialBlowup, PhctrlError, SvdFailure, ToleranceOutOfRange
 from phctrl.sample import (
     SamplerSpec,
     sample_ph,
@@ -38,6 +39,20 @@ def per_subset_minors(K, dims):
     """Reference: one determinant per column subset, in lexicographic order."""
     subsets = itertools.combinations(range(dims.n * dims.m), dims.n)
     return np.array([np.linalg.det(K[:, list(cols)]) for cols in subsets], dtype=K.dtype)
+
+
+def per_lam_smin(A, B, lams):
+    """Reference: one pencil SVD per lam, lam keeping its own type."""
+    eye = np.eye(A.shape[0])
+    return np.array([np.linalg.svd(np.hstack([A - lam * eye, B]), compute_uv=False)[-1]
+                     for lam in lams])
+
+
+def per_lam_pbh(sys, tol=DEFAULT_PBH_TOL):
+    """Reference: the PBH verdict as a short-circuiting loop over eigvals."""
+    A, B = system_matrix(sys), sys.B
+    threshold = tol * float(np.linalg.norm(A, 2) + np.linalg.norm(B, 2))
+    return all(per_lam_smin(A, B, [lam])[0] > threshold for lam in np.linalg.eigvals(A))
 
 
 def assert_same_bytes(got, expected):
@@ -287,6 +302,18 @@ class TestMinors:
         assert not minors_order_n(kalman_matrix(sys)).controllable(rel_tol=0.0)
         assert minors_order_n(kalman_matrix(canonical_witness(3, 1))).controllable(rel_tol=0.0)
 
+    @pytest.mark.parametrize("n", [40, 50])
+    def test_tolerance_beyond_double_range_refused(self, n):
+        # ||K||_2^n of the witness overflows; no verdict, and no bare
+        # OverflowError either
+        ms = minors_order_n(kalman_matrix(canonical_witness(n, 1)))
+        assert ms.q == 1
+        with pytest.raises(ToleranceOutOfRange, match="leaves the double range"):
+            ms.controllable()
+        assert issubclass(ToleranceOutOfRange, PhctrlError)
+        # the exact criterion needs no tolerance: det K = +-1
+        assert ms.controllable(rel_tol=0.0)
+
     def test_verdict_scale_invariance(self):
         spec = SamplerSpec(Dims(3, 1), seed=14)
         for i in range(20):
@@ -320,6 +347,43 @@ class TestPbh:
     def test_zero_tol_is_legal(self):
         assert pbh_check(canonical_witness(3, 1), 0.0)
         assert not pbh_check(system_of(np.zeros((2, 2)), np.eye(2), np.zeros((2, 1))), 0.0)
+
+    @staticmethod
+    def reference_systems():
+        systems = [canonical_witness(n, m) for n in (1, 2, 7, 30, 50) for m in (1, 3)]
+        for field in ScalarField:
+            for i in range(6):
+                spec = SamplerSpec(Dims(2 + i, 1 + i % 3), field=field, seed=31)
+                systems.append(sample_ph(spec, stream(31, i)))
+                systems.append(sample_pht(spec, stream(32, i)))
+                systems.append(sample_uncontrollable(Dims(4, 2), 1 + i % 3, stream(33, i),
+                                                     field=field))
+        systems.append(system_of(np.zeros((3, 3)), np.eye(3), np.zeros((3, 1))))
+        return systems
+
+    def test_matches_per_lam_reference(self):
+        # the stacked pencils keep each lam's dtype: real eigvals give real
+        # pencils, so every sigma is the one a single SVD gives
+        real_eigvals = 0
+        for sys in self.reference_systems():
+            A = system_matrix(sys)
+            lams = np.linalg.eigvals(A)
+            real_eigvals += lams.dtype == np.float64
+            assert_same_bytes(pencil_smin(A, sys.B, lams), per_lam_smin(A, sys.B, lams))
+            assert pbh_check(sys) == per_lam_pbh(sys)
+            assert pbh_check(sys, 0.0) == per_lam_pbh(sys, 0.0)
+        assert real_eigvals > 0
+
+    @pytest.mark.parametrize("entries", [1, 30 * 2, 30 * 3, 30 * 4])
+    def test_no_sigma_depends_on_chunk_size(self, monkeypatch, entries):
+        # (5, 1) pencils have 30 entries; 7 lam fall in 7, 4, 3 and 2 chunks
+        sys = sample_pht(SamplerSpec(Dims(5, 1), field=ScalarField.COMPLEX, seed=34),
+                         stream(34, 0))
+        A = system_matrix(sys)
+        lams = np.concatenate([np.linalg.eigvals(A), [0.5j, -1.0]])
+        expected = per_lam_smin(A, sys.B, lams)
+        monkeypatch.setattr(ctrb, "_MINOR_CHUNK_ENTRIES", entries)
+        assert_same_bytes(pencil_smin(A, sys.B, lams), expected)
 
     def test_matches_rank_on_random_systems(self):
         spec = SamplerSpec(Dims(3, 2), seed=77)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from phctrl import core as core_mod
+from phctrl import ctrb as ctrb_mod
 from phctrl import experiments as experiments_mod
 from phctrl import sample as sample_mod
 from phctrl.core import Dims, PHTSystem, ScalarField, validate_ph
@@ -336,7 +337,137 @@ class TestNowhereDensityProbe:
             run_nowhere_density_probe(base, [-1e-3], 5)
 
 
+def per_lam_distance(sys, grid=GridSpec()):
+    """Reference: the grid search evaluating one lam at a time, in x-major
+    then y order, with the eigenvalues cast to complex as seeds."""
+    A = sys.J @ sys.H
+    B = np.asarray(sys.B)
+    eye = np.eye(sys.dims.n)
+    evaluations = 0
+
+    def smin(lam):
+        nonlocal evaluations
+        evaluations += 1
+        return float(np.linalg.svd(np.hstack([A - lam * eye, B]), compute_uv=False)[-1])
+
+    def scan(center, half):
+        xs = np.linspace(center.real - half, center.real + half, grid.points_per_axis)
+        ys = np.linspace(center.imag - half, center.imag + half, grid.points_per_axis)
+        best_v, best_l = math.inf, center
+        for x in xs:
+            for y in ys:
+                v = smin(complex(x, y))
+                if v < best_v:
+                    best_v, best_l = v, complex(x, y)
+        return best_v, best_l
+
+    half = float(np.linalg.norm(A, 2)) + grid.margin
+    best_value, best_lam = scan(0j, half)
+    for lam in np.linalg.eigvals(A):
+        v = smin(complex(lam))
+        if v < best_value:
+            best_value, best_lam = v, complex(lam)
+    for _ in range(grid.refine_levels):
+        half = 5.0 * half / (grid.points_per_axis - 1)
+        v, lam = scan(best_lam, half)
+        if v < best_value:
+            best_value, best_lam = v, lam
+    return best_value, best_lam, evaluations
+
+
+def assert_same_estimate(est, reference):
+    value, lam, evaluations = reference
+    assert type(est.value) is float and type(est.lam) is complex
+    assert np.float64(est.value).tobytes() == np.float64(value).tobytes()
+    assert np.complex128(est.lam).tobytes() == np.complex128(lam).tobytes()
+    assert est.evaluations == evaluations
+
+
+SMALL_GRID = GridSpec(points_per_axis=9, refine_levels=4)
+
+
 class TestDistance:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: sample_mod.sample_ph(sample_mod.SamplerSpec(Dims(4, 2), seed=41),
+                                                  sample_mod.stream(41, 0)), id="ph-real"),
+        pytest.param(lambda: sample_mod.sample_ph(
+            sample_mod.SamplerSpec(Dims(3, 1), field=ScalarField.COMPLEX, seed=41),
+            sample_mod.stream(41, 1)), id="ph-complex"),
+        pytest.param(lambda: sample_mod.sample_pht(
+            sample_mod.SamplerSpec(Dims(3, 2), field=ScalarField.COMPLEX, seed=41),
+            sample_mod.stream(41, 2)), id="pht-complex"),
+        pytest.param(lambda: sample_mod.sample_uncontrollable(
+            Dims(4, 2), 2, sample_mod.stream(41, 3)), id="uncontrollable-real"),
+        pytest.param(lambda: sample_mod.sample_uncontrollable(
+            Dims(3, 1), 1, sample_mod.stream(41, 4), field=ScalarField.COMPLEX),
+            id="uncontrollable-complex"),
+        pytest.param(lambda: canonical_witness(3, 2), id="witness"),
+    ])
+    @pytest.mark.parametrize("grid", [SMALL_GRID, GridSpec(points_per_axis=4, refine_levels=2,
+                                                           margin=0.0)],
+                             ids=["odd-grid", "even-grid"])
+    def test_matches_per_lam_reference(self, make, grid):
+        sys = make()
+        assert_same_estimate(distance_to_uncontrollability(sys, grid),
+                             per_lam_distance(sys, grid))
+
+    def test_matches_per_lam_reference_with_real_eigvals(self):
+        # PHT triples whose JH has only real eigenvalues: eigvals returns
+        # float64, and the seeds must still be complex pencils, whose
+        # sigma differs from the real pencil's in the last bits
+        spec = sample_mod.SamplerSpec(Dims(2, 1), seed=42)
+        draw = next(s for s in (sample_mod.sample_pht(spec, sample_mod.stream(42, i))
+                                for i in range(50))
+                    if np.linalg.eigvals(s.J @ s.H).dtype == np.float64)
+        assert_same_estimate(distance_to_uncontrollability(draw, SMALL_GRID),
+                             per_lam_distance(draw, SMALL_GRID))
+        # JH has eigenvalues 1, -1, 0 and B is orthogonal to the left
+        # eigenvector (1, 1, 0) of 1, so without refinement the winning
+        # lam is the seed 1
+        rng = np.random.default_rng(45)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        J = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        H = np.diag([1.0, -1.0, 1.0])
+        B = np.array([[1.0], [-1.0], [1.0]])
+        sys = core_mod.validate_pht(Q @ J @ Q.T, Q @ H @ Q.T, Q @ B)
+        assert np.linalg.eigvals(sys.J @ sys.H).dtype == np.float64
+        grid = GridSpec(points_per_axis=9, refine_levels=0)
+        reference = per_lam_distance(sys, grid)
+        assert reference[0] < 1e-12 and reference[1] in np.linalg.eigvals(sys.J @ sys.H)
+        assert_same_estimate(distance_to_uncontrollability(sys, grid), reference)
+
+    def test_default_grid_matches_per_lam_reference(self):
+        sys = sample_mod.sample_ph(sample_mod.SamplerSpec(Dims(2, 1), seed=43),
+                                   sample_mod.stream(43, 0))
+        assert_same_estimate(distance_to_uncontrollability(sys), per_lam_distance(sys))
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 7, 24, 25, 26])
+    def test_no_byte_depends_on_chunk_size(self, monkeypatch, per_chunk):
+        # (2, 1) pencils have 6 entries and P^2 = 25: chunks of 25 end at
+        # the scan's end, 24 leave one lam over and 26 one slot empty
+        sys = sample_mod.sample_pht(
+            sample_mod.SamplerSpec(Dims(2, 1), field=ScalarField.COMPLEX, seed=44),
+            sample_mod.stream(44, 0))
+        grid = GridSpec(points_per_axis=5, refine_levels=3)
+        reference = per_lam_distance(sys, grid)
+        monkeypatch.setattr(ctrb_mod, "_MINOR_CHUNK_ENTRIES", 6 * per_chunk)
+        assert_same_estimate(distance_to_uncontrollability(sys, grid), reference)
+
+    def test_svd_stacks_stay_within_the_chunk(self, monkeypatch):
+        sizes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            sizes.append(np.asarray(a).size)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        est = distance_to_uncontrollability(canonical_witness(3, 1),
+                                            GridSpec(points_per_axis=301, refine_levels=0))
+        assert est.evaluations == 301 * 301 + 3
+        assert sum(size // 12 for size in sizes) == est.evaluations
+        assert max(sizes) <= ctrb_mod._MINOR_CHUNK_ENTRIES
+
     def test_zero_for_decoupled_input(self):
         # B = 0: the pencil is singular at any eigenvalue of JH
         sys = validate_ph(PHTSystem(
