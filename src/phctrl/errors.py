@@ -101,8 +101,16 @@ class BaseNotUncontrollable(PhctrlError):
 
 
 class ExperimentError(PhctrlError):
-    """An error inside an experiment loop, annotated with the trial index."""
+    """An error inside an experiment loop, annotated with the trial index
+    and, for a perturbation probe trial, the index and value of its step
+    size: the trial replays from stream(seed, trial), or from
+    stream(seed, eps_index, trial)."""
 
-    def __init__(self, trial: int, cause: Exception):
-        super().__init__(f"trial {trial}: {cause}")
+    def __init__(self, trial: int, cause: Exception, eps_index: int | None = None,
+                 eps: float | None = None):
+        where = f"trial {trial}" if eps_index is None else \
+            f"eps[{eps_index}] = {eps!r}, trial {trial}"
+        super().__init__(f"{where}: {cause}")
         self.trial = trial
+        self.eps_index = eps_index
+        self.eps = eps

@@ -18,9 +18,9 @@ Reports embed their configuration and master seed; rerunning from that
 configuration reproduces a report byte for byte except for wall_time,
 which is the single nondeterministic field.  Every report is written
 through report_json, and every report table through csv_table.  The
-Monte Carlo harness evaluates its trials in chunks of CHUNK on stacked
-arrays; each trial still draws from its own stream, so no byte depends
-on the chunk size.
+Monte Carlo harness and the perturbation probe evaluate their trials in
+chunks of CHUNK on stacked arrays; each trial still draws from its own
+stream, so no byte depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -46,11 +46,25 @@ from .ctrb import (
     singular_values,
     threshold_rank,
 )
-from .errors import BaseNotUncontrollable, ExperimentError, PhctrlError, SvdFailure
-from .sample import PerturbationSpec, SamplerSpec, Wishart, perturb, sample_ph_rows, stream
+from .errors import (
+    BaseNotUncontrollable,
+    ExperimentError,
+    PerturbationFailed,
+    PhctrlError,
+    SvdFailure,
+)
+from .sample import (
+    PerturbationSpec,
+    SamplerSpec,
+    Wishart,
+    perturb_rows,
+    sample_ph_rows,
+    stream,
+)
 
 PI_SQUARED_THIRD = math.pi ** 2 / 3.0
-# Monte Carlo trials evaluated per stacked chunk; 64 to 512 measure alike.
+# Monte Carlo and probe trials evaluated per stacked chunk; 64 to 512
+# measure alike.
 CHUNK = 128
 
 
@@ -127,20 +141,16 @@ def _spec_config(spec: SamplerSpec) -> dict:
     }
 
 
-def _trial_rows(spec: SamplerSpec, trials: range, rel_tol: float,
-                pbh_tol: float, cross_check: bool):
-    """Trials of run_genericity_trial on stacked arrays: sample_ph_rows,
-    J @ H, the Krylov recurrence and one stacked SVD.
+def _chunk_singular_values(K: np.ndarray, failures: dict):
+    """Singular values of a chunk's stacked reachability matrices, and the
+    chunk's first failing row (len(K) when no row fails).
 
-    Returns sigma_n and the controllable flag of every trial, and the
-    number of PBH agreements (0 without cross_check).  A failing trial
-    raises ExperimentError with the index the per-trial composition
-    rank_svd(kalman_matrix(sample_ph(spec, stream(seed, i)))) would
-    give: the first failing trial, a draw failure before an SVD one.
+    failures maps rows to the errors their draw raised.  When the stacked
+    SVD fails, the first row whose SVD fails alone joins them, unless its
+    draw failed already: one trial at a time, a trial stops at its draw.
+    So the first failing trial wins, a draw failure before an SVD one.
     """
-    n = spec.dims.n
-    J, H, B, failures = sample_ph_rows(spec, trials)
-    K = krylov_blocks(J @ H, B)
+    sv = None
     try:
         sv = singular_values(K)
     except SvdFailure as e:
@@ -152,7 +162,23 @@ def _trial_rows(spec: SamplerSpec, trials: range, rel_tol: float,
                 break
         else:  # no row fails alone: charge the chunk's first trial
             failures.setdefault(0, e)
-    first_failure = min(failures, default=len(K))
+    return sv, min(failures, default=len(K))
+
+
+def _trial_rows(spec: SamplerSpec, trials: range, rel_tol: float,
+                pbh_tol: float, cross_check: bool):
+    """Trials of run_genericity_trial on stacked arrays: sample_ph_rows,
+    J @ H, the Krylov recurrence and one stacked SVD.
+
+    Returns sigma_n and the controllable flag of every trial, and the
+    number of PBH agreements (0 without cross_check).  A failing trial
+    raises ExperimentError with the index the per-trial composition
+    rank_svd(kalman_matrix(sample_ph(spec, stream(seed, i)))) would
+    give (_chunk_singular_values).
+    """
+    n = spec.dims.n
+    J, H, B, failures = sample_ph_rows(spec, trials)
+    sv, first_failure = _chunk_singular_values(krylov_blocks(J @ H, B), failures)
     pbh = []
     for k in range(first_failure if cross_check else 0):
         try:
@@ -260,6 +286,14 @@ def run_nowhere_density_probe(base: PHSystem, eps_grid: Sequence[float],
     eps = 0 row evaluates the base itself (fraction 0.0, no randomness
     consumed).  Raises BaseNotUncontrollable when the base passes the
     rank test.
+
+    Trial t of row j steps along a direction drawn from stream(seed, j, t).
+    Each row is evaluated in chunks of CHUNK trials on stacked arrays
+    (perturb_rows, J @ H, the Krylov recurrence, one SVD), and no byte of
+    the report depends on the chunk size.  A failing trial raises
+    ExperimentError naming j, eps and the trial the per-trial composition
+    rank_svd(kalman_matrix(perturb(base, spec, stream(seed, j, t)))) would
+    fail first.
     """
     if trials_per_eps < 1:
         raise ValueError(f"trials_per_eps must be >= 1, got {trials_per_eps}")
@@ -271,6 +305,7 @@ def run_nowhere_density_probe(base: PHSystem, eps_grid: Sequence[float],
     if base_report.controllable:
         raise BaseNotUncontrollable(base_report.rank, n)
 
+    rel_tol = resolve_rel_tol(base.dims, rank_rel_tol)
     rows: list[ProbeRow] = []
     for j, eps in enumerate(eps_grid):
         if eps == 0.0:
@@ -287,15 +322,21 @@ def run_nowhere_density_probe(base: PHSystem, eps_grid: Sequence[float],
         count = 0
         rank_sum = 0
         sigma_sum = 0.0
-        for t in range(trials_per_eps):
-            try:
-                result = perturb(base, pspec, stream(seed, j, t))
-                report = rank_svd(kalman_matrix(result.system), rank_rel_tol)
-            except PhctrlError as e:
-                raise ExperimentError(t, e) from e
-            count += report.controllable
-            rank_sum += report.rank
-            sigma_sum += report.singular_values[n - 1]
+        for start in range(0, trials_per_eps, CHUNK):
+            chunk = range(start, min(start + CHUNK, trials_per_eps))
+            moved = perturb_rows(base, pspec, [stream(seed, j, t) for t in chunk])
+            failures = {} if moved.failed is None else \
+                {moved.failed: PerturbationFailed(eps, max_retries)}
+            sv, first_failure = _chunk_singular_values(
+                krylov_blocks(moved.J @ moved.H, moved.B), failures)
+            if failures:
+                cause = failures[first_failure]
+                raise ExperimentError(chunk[first_failure], cause, j, float(eps)) from cause
+            rank = threshold_rank(sv, rel_tol)[0]
+            count += int(np.count_nonzero(rank == n))
+            rank_sum += int(rank.sum())
+            for sigma_n in sv[:, n - 1].tolist():  # left to right, as one trial at a time
+                sigma_sum += sigma_n
         rows.append(ProbeRow(
             eps=float(eps),
             trials=trials_per_eps,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -250,44 +250,100 @@ def sample_uncontrollable(dims: Dims, k: int, rng: np.random.Generator,
     return _first_positive_definite(draw)
 
 
+@dataclass(frozen=True, eq=False)
+class PerturbedRows:
+    """Stacked outcome of perturb_rows: row r holds J, H, B, pd_margin,
+    eps_used and halvings of perturb(base, spec, rngs[r]).  failed is the
+    first row that never passed the positive definiteness gate (its
+    arrays then hold the last attempt), or None."""
+
+    J: np.ndarray
+    H: np.ndarray
+    B: np.ndarray
+    pd_margin: np.ndarray
+    eps_used: np.ndarray
+    halvings: np.ndarray
+    failed: int | None
+
+
+def perturb_rows(base: PHSystem, spec: PerturbationSpec,
+                 rngs: Sequence[np.random.Generator]) -> PerturbedRows:
+    """Step base by epsilon along one random unit-Frobenius structured
+    direction per stream in rngs, with the positive definiteness gate run
+    on the stacked candidates.
+
+    Each row draws DJ, DH and DB from its own stream in the documented
+    order (J source, H source, B) and takes their norms one row at a
+    time, so every row equals a lone perturbation bit for bit.  A row the
+    gate rejects halves its step (same direction) and is tried again, up
+    to spec.max_retries halvings; the other rows keep theirs.  epsilon = 0
+    gives the base in every row without consuming randomness.
+    """
+    n, m = base.dims.n, base.dims.m
+    field = base.field
+    rows = len(rngs)
+    eps_used = np.full(rows, float(spec.epsilon))
+    halvings = np.zeros(rows, dtype=int)
+    if spec.epsilon == 0.0:
+        return PerturbedRows(*(np.broadcast_to(a, (rows,) + a.shape)
+                               for a in (base.J, base.H, base.B)),
+                             np.full(rows, base.pd_margin), eps_used, halvings, None)
+
+    DJ = np.empty((rows, n, n), dtype=field.dtype)
+    DH = np.empty_like(DJ)
+    DB = np.empty((rows, n, m), dtype=field.dtype)
+    for r, rng in enumerate(rngs):
+        DJ[r] = _gauss(rng, (n, n), field)
+        DH[r] = _gauss(rng, (n, n), field)
+        DB[r] = _gauss(rng, (n, m), field)
+    DJ = spec.j_scale * skew_part(DJ)
+    DH = spec.h_scale * sym_part(DH)
+    DB = spec.b_scale * DB
+    # one norm per matrix: a stacked norm is not bitwise equal to these
+    norms = np.array([math.sqrt(np.linalg.norm(DJ[r]) ** 2 + np.linalg.norm(DH[r]) ** 2
+                                + np.linalg.norm(DB[r]) ** 2) for r in range(rows)])
+    norms[norms == 0.0] = 1.0
+    DJ /= norms[:, None, None]
+    DH /= norms[:, None, None]
+    DB /= norms[:, None, None]
+
+    J = np.empty_like(DJ)
+    H = np.empty_like(DH)
+    B = np.empty_like(DB)
+    pd_margin = np.empty(rows)
+    pending = np.arange(rows)
+    for attempt in range(spec.max_retries + 1):
+        if attempt:
+            eps_used[pending] /= 2.0
+            halvings[pending] = attempt
+        eps = eps_used[pending, None, None]
+        J[pending] = skew_part(base.J + eps * DJ[pending])
+        H[pending] = sym_part(base.H + eps * DH[pending])
+        B[pending] = base.B + eps * DB[pending]
+        pd_margin[pending], _, rejected = pd_gate(H[pending])
+        pending = pending[rejected]
+        if not pending.size:
+            break
+    failed = int(pending[0]) if pending.size else None
+    return PerturbedRows(J, H, B, pd_margin, eps_used, halvings, failed)
+
+
 def perturb(sys: PHSystem, spec: PerturbationSpec,
             rng: np.random.Generator) -> PerturbResult:
-    """Step by epsilon along a random unit-Frobenius structured direction.
+    """Step by epsilon along a random unit-Frobenius structured direction:
+    perturb_rows on the single stream rng.
 
     If the step leaves the positive definite cone, it is halved (same
-    direction) until validation succeeds; openness of the cone makes
-    this terminate for any base system.  epsilon = 0 returns the base
-    system unchanged without consuming randomness.
+    direction) and tried again; after spec.max_retries halvings that all
+    leave the cone, PerturbationFailed is raised.  The cone is open, so
+    some halving passes for a base certified by validate_ph, but it may
+    lie beyond max_retries.  epsilon = 0 returns the base system (an
+    equal copy) without consuming randomness.
     """
-    if spec.epsilon == 0.0:
-        return PerturbResult(system=sys, eps_requested=0.0, eps_used=0.0, halvings=0)
-
-    n, m = sys.dims.n, sys.dims.m
-    field = sys.field
-    DJ = spec.j_scale * skew_part(_gauss(rng, (n, n), field))
-    DH = spec.h_scale * sym_part(_gauss(rng, (n, n), field))
-    DB = spec.b_scale * _gauss(rng, (n, m), field)
-    norm = math.sqrt(
-        np.linalg.norm(DJ) ** 2 + np.linalg.norm(DH) ** 2 + np.linalg.norm(DB) ** 2
-    )
-    if norm == 0.0:
-        norm = 1.0
-    DJ /= norm
-    DH /= norm
-    DB /= norm
-
-    eps = spec.epsilon
-    for halvings in range(spec.max_retries + 1):
-        candidate = PHTSystem(
-            sys.dims, field, sys.J + eps * DJ, sys.H + eps * DH, sys.B + eps * DB
-        )
-        try:
-            return PerturbResult(
-                system=validate_ph(candidate),
-                eps_requested=spec.epsilon,
-                eps_used=eps,
-                halvings=halvings,
-            )
-        except NotPositiveDefinite:
-            eps /= 2.0
-    raise PerturbationFailed(spec.epsilon, spec.max_retries)
+    rows = perturb_rows(sys, spec, [rng])
+    if rows.failed is not None:
+        raise PerturbationFailed(spec.epsilon, spec.max_retries)
+    system = PHSystem(PHTSystem(sys.dims, sys.field, rows.J[0], rows.H[0], rows.B[0]),
+                      float(rows.pd_margin[0]))
+    return PerturbResult(system=system, eps_requested=spec.epsilon,
+                         eps_used=float(rows.eps_used[0]), halvings=int(rows.halvings[0]))

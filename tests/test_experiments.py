@@ -11,19 +11,22 @@ from phctrl import core as core_mod
 from phctrl import ctrb as ctrb_mod
 from phctrl import experiments as experiments_mod
 from phctrl import sample as sample_mod
-from phctrl.core import Dims, PHTSystem, ScalarField, validate_ph
+from phctrl.core import Dims, PHTSystem, ScalarField, validate_ph, validate_pht
 from phctrl.ctrb import (
     DEFAULT_PBH_TOL,
     canonical_witness,
     kalman_matrix,
+    krylov_blocks,
     pbh_check,
     rank_svd,
     resolve_rel_tol,
+    singular_values,
 )
 from phctrl.errors import (
     BaseNotUncontrollable,
     DegenerateDraw,
     ExperimentError,
+    PerturbationFailed,
     PhctrlError,
     SvdFailure,
 )
@@ -32,6 +35,7 @@ from phctrl.experiments import (
     GridSpec,
     IntervalUnion,
     PI_SQUARED_THIRD,
+    ProbeRow,
     calkin_wilf,
     distance_to_uncontrollability,
     prop1_membership,
@@ -45,6 +49,8 @@ from phctrl.sample import (
     SamplerSpec,
     ShiftedGram,
     Wishart,
+    perturb,
+    perturb_rows,
     sample_ph,
     sample_uncontrollable,
     stream,
@@ -296,6 +302,55 @@ class TestSpecsRejectNonFinite:
             make()
 
 
+def per_trial_probe(base, eps_grid, trials, seed, rank_rel_tol=None, max_retries=60):
+    """Reference: the probe rows from one perturbation at a time,
+    rank_svd(kalman_matrix(perturb(base, spec, stream(seed, j, t)))), with
+    the failing trial and its step attached as run_nowhere_density_probe
+    does."""
+    n = base.dims.n
+    rows = []
+    for j, eps in enumerate(eps_grid):
+        if eps == 0.0:
+            report = rank_svd(kalman_matrix(base), rank_rel_tol)
+            rows.append(ProbeRow(0.0, trials, 0, 0.0, float(report.rank),
+                                 report.singular_values[n - 1]))
+            continue
+        spec = PerturbationSpec(epsilon=eps, max_retries=max_retries)
+        count = rank_sum = 0
+        sigma_sum = 0.0
+        for t in range(trials):
+            try:
+                moved = perturb(base, spec, stream(seed, j, t)).system
+                report = rank_svd(kalman_matrix(moved), rank_rel_tol)
+            except PhctrlError as e:
+                raise ExperimentError(t, e, j, float(eps)) from e
+            count += report.controllable
+            rank_sum += report.rank
+            sigma_sum += report.singular_values[n - 1]
+        rows.append(ProbeRow(float(eps), trials, count, count / trials, rank_sum / trials,
+                             sigma_sum / trials))
+    return rows
+
+
+def assert_same_rows(rows, reference):
+    assert [repr(row) for row in rows] == [repr(row) for row in reference]
+    for row, ref in zip(rows, reference):
+        assert np.float64(row.mean_sigma_n).tobytes() == np.float64(ref.mean_sigma_n).tobytes()
+        assert np.float64(row.mean_rank).tobytes() == np.float64(ref.mean_rank).tobytes()
+
+
+PROBE_GRID = [0.0, 1e-6, 1e-2, 0.3]
+
+
+def decoupled_base(h_block, h_third):
+    """An uncontrollable (3,1) base with H = diag(h_block, h_block, h_third):
+    state 3 is decoupled from the input and from states 1 and 2."""
+    J = np.zeros((3, 3))
+    J[0, 1], J[1, 0] = -1.0, 1.0
+    return validate_ph(validate_pht(J, np.diag([h_block, h_block, h_third]),
+                                    [[1.0], [0.0], [0.0]]))
+
+
 class TestNowhereDensityProbe:
     def test_fractions_by_eps(self):
         base = sample_uncontrollable(Dims(3, 1), 1, stream(910))
@@ -335,6 +390,85 @@ class TestNowhereDensityProbe:
         base = sample_uncontrollable(Dims(2, 1), 1, stream(918))
         with pytest.raises(ValueError):
             run_nowhere_density_probe(base, [-1e-3], 5)
+
+    @pytest.mark.parametrize("trials", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("field", list(ScalarField))
+    @pytest.mark.parametrize("n,m,k", [(3, 1, 1), (8, 2, 3)])
+    def test_matches_per_trial(self, trials, field, n, m, k):
+        base = sample_uncontrollable(Dims(n, m), k, stream(960, trials), field=field)
+        report = run_nowhere_density_probe(base, PROBE_GRID, trials, seed=961)
+        assert_same_rows(report.rows, per_trial_probe(base, PROBE_GRID, trials, 961))
+
+    @pytest.mark.parametrize("field", list(ScalarField))
+    def test_explicit_rank_rel_tol_and_retries(self, field):
+        # a coarse threshold reads some small steps as uncontrollable, and a
+        # near-singular H makes the large steps halve
+        base = sample_uncontrollable(Dims(8, 2), 3, stream(962), field=field)
+        grid = [1e-9, 1e-4, 0.5, 2.0]
+        report = run_nowhere_density_probe(base, grid, CHUNK + 5, seed=963,
+                                           rank_rel_tol=1e-6, max_retries=45)
+        assert_same_rows(report.rows,
+                         per_trial_probe(base, grid, CHUNK + 5, 963, 1e-6, 45))
+        assert report.rows[0].controllable_count < CHUNK + 5
+
+    @pytest.mark.parametrize("chunk", [1, 7, CHUNK + 1])
+    def test_no_byte_depends_on_chunk_size(self, monkeypatch, chunk):
+        base = sample_uncontrollable(Dims(3, 1), 1, stream(964), field=ScalarField.COMPLEX)
+        expected = stable_json(run_nowhere_density_probe(base, PROBE_GRID, CHUNK + 2,
+                                                         seed=965).to_dict())
+        monkeypatch.setattr(experiments_mod, "CHUNK", chunk)
+        report = run_nowhere_density_probe(base, PROBE_GRID, CHUNK + 2, seed=965)
+        assert stable_json(report.to_dict()) == expected
+
+    @pytest.mark.parametrize("eps,seed", [(1.3e-6, 960), (1.3e-6, 970), (1.2e-6, 963)])
+    def test_failure_index(self, eps, seed):
+        # H = diag(1, 1, 1e-6): with no halving allowed, a few steps of
+        # these sizes leave the cone; the first such trial is in chunk 0
+        # (seed 960) or chunk 1 (970, 963)
+        base = decoupled_base(1.0, 1e-6)
+        grid = [0.0, 1e-9, eps]
+        with pytest.raises(ExperimentError) as ref:
+            per_trial_probe(base, grid, 3 * CHUNK, seed, max_retries=0)
+        with pytest.raises(ExperimentError) as got:
+            run_nowhere_density_probe(base, grid, 3 * CHUNK, seed=seed, max_retries=0)
+        assert isinstance(got.value.__cause__, PerturbationFailed)
+        assert (got.value.trial, got.value.eps_index, got.value.eps) == \
+            (ref.value.trial, 2, eps)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith(f"eps[2] = {eps!r}, trial {ref.value.trial}: ")
+        assert (ref.value.trial >= CHUNK) == (seed != 960)
+
+    @pytest.mark.parametrize("seed,cause", [
+        (960, PerturbationFailed), (961, PerturbationFailed), (962, SvdFailure), (963, SvdFailure),
+    ])
+    def test_draw_failure_beats_svd_failure(self, seed, cause):
+        # H = 5e152 I and a step of 1e153: the step leaves the cone on some
+        # trials, and on every trial (JH)^2 B overflows, so the failing
+        # trial 0 has a failed SVD too; its draw failure must win
+        base = decoupled_base(5e152, 5e152)
+        grid = [0.0, 1e-9, 1e153]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ExperimentError) as ref:
+                per_trial_probe(base, grid, CHUNK + 3, seed, max_retries=0)
+            with pytest.raises(ExperimentError) as got:
+                run_nowhere_density_probe(base, grid, CHUNK + 3, seed=seed, max_retries=0)
+            moved = perturb_rows(base, PerturbationSpec(1e153, max_retries=0),
+                                 [stream(seed, 2, 0)])
+            with pytest.raises(SvdFailure):
+                singular_values(krylov_blocks(moved.J @ moved.H, moved.B))
+        assert type(ref.value.__cause__) is cause
+        assert type(got.value.__cause__) is cause
+        assert got.value.trial == ref.value.trial == 0
+        assert str(got.value) == str(ref.value)
+
+
+def test_experiment_error_messages():
+    # a Monte Carlo trial replays from stream(seed, i), a probe trial from
+    # stream(seed, j, t): the probe message names the step as well
+    assert str(ExperimentError(7, SvdFailure("x"))) == "trial 7: x"
+    error = ExperimentError(7, SvdFailure("x"), 2, 1e-3)
+    assert str(error) == "eps[2] = 0.001, trial 7: x"
+    assert (error.trial, error.eps_index, error.eps) == (7, 2, 1e-3)
 
 
 def per_lam_distance(sys, grid=GridSpec()):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import phctrl.sample as sample_mod
-from phctrl.core import Dims, ScalarField, validate_ph, validate_pht
+from phctrl.core import (
+    Dims,
+    PHTSystem,
+    ScalarField,
+    skew_part,
+    sym_part,
+    validate_ph,
+    validate_pht,
+)
 from phctrl.ctrb import kalman_matrix, rank_svd
 from phctrl.errors import DegenerateDraw, NotPositiveDefinite, PerturbationFailed
 from phctrl.sample import (
@@ -13,6 +21,7 @@ from phctrl.sample import (
     ShiftedGram,
     Wishart,
     perturb,
+    perturb_rows,
     sample_ph,
     sample_pht,
     sample_uncontrollable,
@@ -197,9 +206,7 @@ class TestPerturb:
             assert result.eps_used == eps
 
     def test_large_step_halves_until_pd(self):
-        base = validate_ph(validate_pht(
-            [[0.0, -1.0], [1.0, 0.0]], np.eye(2) * 1e-6, [[1.0], [0.0]]))
-        result = perturb(base, PerturbationSpec(epsilon=1.0), stream(402))
+        result = perturb(NEAR_SINGULAR, PerturbationSpec(epsilon=1.0), stream(402))
         assert result.halvings > 0
         assert result.eps_used < 1e-4
         assert result.system.pd_margin > 0.0
@@ -229,6 +236,117 @@ class TestPerturb:
             for t in range(200)
         )
         assert hits == 200
+
+
+def perturb_one_at_a_time(sys, spec, rng):
+    """Reference: the perturbation as a per-system halving loop, each
+    candidate built as a PHTSystem and certified by validate_ph."""
+    if spec.epsilon == 0.0:
+        return sys, 0.0, 0
+    n, m = sys.dims.n, sys.dims.m
+    DJ = spec.j_scale * skew_part(sample_mod._gauss(rng, (n, n), sys.field))
+    DH = spec.h_scale * sym_part(sample_mod._gauss(rng, (n, n), sys.field))
+    DB = spec.b_scale * sample_mod._gauss(rng, (n, m), sys.field)
+    norm = np.sqrt(np.linalg.norm(DJ) ** 2 + np.linalg.norm(DH) ** 2 + np.linalg.norm(DB) ** 2)
+    norm = float(norm) or 1.0
+    eps = spec.epsilon
+    for halvings in range(spec.max_retries + 1):
+        candidate = PHTSystem(sys.dims, sys.field, sys.J + eps * (DJ / norm),
+                              sys.H + eps * (DH / norm), sys.B + eps * (DB / norm))
+        try:
+            return validate_ph(candidate), eps, halvings
+        except NotPositiveDefinite:
+            eps /= 2.0
+    raise PerturbationFailed(spec.epsilon, spec.max_retries)
+
+
+def result_bytes(system, eps_used, halvings):
+    return (system.J.tobytes(), system.H.tobytes(), system.B.tobytes(),
+            np.float64(system.pd_margin).tobytes(), np.float64(eps_used).tobytes(), halvings)
+
+
+# H = 1e-6 I: a unit step halves many times before H stays positive definite
+NEAR_SINGULAR = validate_ph(validate_pht(
+    [[0.0, -1.0], [1.0, 0.0]], np.eye(2) * 1e-6, [[1.0], [0.0]]))
+
+
+def perturb_bases():
+    yield NEAR_SINGULAR
+    for field in ScalarField:
+        for i, (n, m) in enumerate([(1, 1), (3, 2), (5, 1)]):
+            yield sample_ph(SamplerSpec(Dims(n, m), field=field, seed=420 + i),
+                            stream(420 + i, 0))
+        yield sample_uncontrollable(Dims(4, 2), 2, stream(423), field=field)
+
+
+class TestPerturbRows:
+    """perturb_rows row r is perturb(base, spec, rngs[r]) bit for bit, and
+    perturb keeps the bytes of the per-system halving loop."""
+
+    @pytest.mark.parametrize("eps,retries", [(0.0, 40), (1e-3, 40), (1.0, 40), (30.0, 60),
+                                             (10.0, 2), (100.0, 0)])
+    def test_perturb_matches_one_at_a_time(self, eps, retries):
+        spec = PerturbationSpec(epsilon=eps, max_retries=retries)
+        outcomes = set()
+        for b, base in enumerate(perturb_bases()):
+            for t in range(6):
+                try:
+                    expected = result_bytes(
+                        *perturb_one_at_a_time(base, spec, stream(430, b, t)))
+                except PerturbationFailed as e:
+                    with pytest.raises(PerturbationFailed) as got:
+                        perturb(base, spec, stream(430, b, t))
+                    assert str(got.value) == str(e)
+                    outcomes.add("failed")
+                    continue
+                result = perturb(base, spec, stream(430, b, t))
+                assert result.eps_requested == eps
+                assert result_bytes(result.system, result.eps_used, result.halvings) == expected
+                outcomes.add(result.halvings > 0)
+        if eps >= 1.0:  # some bases halve, or run out of halvings
+            assert (True if retries else "failed") in outcomes
+
+    @pytest.mark.parametrize("eps,retries", [(1e-3, 40), (1.0, 40), (10.0, 2), (100.0, 0)])
+    @pytest.mark.parametrize("rows", [1, 5, 17])
+    def test_rows_equal_lone_perturbations(self, eps, retries, rows):
+        spec = PerturbationSpec(epsilon=eps, max_retries=retries)
+        for b, base in enumerate(perturb_bases()):
+            moved = perturb_rows(base, spec, [stream(440, b, r) for r in range(rows)])
+            failed = []
+            for r in range(rows):
+                try:
+                    lone = perturb(base, spec, stream(440, b, r))
+                except PerturbationFailed:
+                    failed.append(r)
+                    assert moved.halvings[r] == retries
+                    continue
+                assert moved.J[r].tobytes() == lone.system.J.tobytes()
+                assert moved.H[r].tobytes() == lone.system.H.tobytes()
+                assert moved.B[r].tobytes() == lone.system.B.tobytes()
+                assert moved.pd_margin[r] == lone.system.pd_margin
+                assert moved.eps_used[r] == lone.eps_used
+                assert moved.halvings[r] == lone.halvings
+            assert moved.failed == (failed[0] if failed else None)
+
+    def test_halving_rows_keep_their_own_step(self):
+        # on the near-singular base some rows halve and others do not
+        spec = PerturbationSpec(epsilon=4e-6)
+        moved = perturb_rows(NEAR_SINGULAR, spec, [stream(450, r) for r in range(40)])
+        assert 0 < np.count_nonzero(moved.halvings) < 40
+        assert np.array_equal(moved.eps_used, 4e-6 / 2.0 ** moved.halvings)
+        assert (moved.pd_margin > 0).all()
+        assert moved.failed is None
+
+    def test_zero_step_draws_nothing(self):
+        base = sample_ph(SamplerSpec(Dims(3, 2), seed=451), stream(451, 0))
+        rngs = [stream(451, r) for r in range(3)]
+        moved = perturb_rows(base, PerturbationSpec(epsilon=0.0), rngs)
+        for r in range(3):
+            assert np.array_equal(moved.J[r], base.J) and np.array_equal(moved.B[r], base.B)
+            assert moved.pd_margin[r] == base.pd_margin
+        assert moved.eps_used.tolist() == [0.0] * 3 and moved.halvings.tolist() == [0] * 3
+        assert [rng.standard_normal() for rng in rngs] == \
+            [stream(451, r).standard_normal() for r in range(3)]
 
 
 class TestDegenerateDraw:
