@@ -71,6 +71,7 @@ from .sample import (
     sample_pht,
     sample_uncontrollable,
     stream,
+    streams,
 )
 from .vectorize import (
     PackedVector,

@@ -43,6 +43,7 @@ from .ctrb import (
 )
 from .errors import PhctrlError
 from .experiments import (
+    CHUNK,
     GridSpec,
     PI_SQUARED_THIRD,
     csv_table,
@@ -61,6 +62,7 @@ from .sample import (
     sample_pht,
     sample_uncontrollable,
     stream,
+    streams,
 )
 from .vectorize import dumps_packed, pack, packed_from_dict, unpack
 
@@ -277,19 +279,20 @@ def _cmd_unpack(args: argparse.Namespace, cfg: dict) -> int:
 
 def _cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
     spec = _sampler_spec(cfg)
+    count = cfg["count"]
     lines = []
-    for i in range(cfg["count"]):
-        rng = stream(cfg["seed"], i)
-        if cfg["kind"] == "ph":
-            system = sample_ph(spec, rng)
-        elif cfg["kind"] == "pht":
-            system = sample_pht(spec, rng)
-        else:
-            system = sample_uncontrollable(
-                spec.dims, cfg["k"], rng, spec.field,
-                j_scale=cfg["j_scale"], b_scale=cfg["b_scale"],
-            )
-        lines.append(json.dumps(system_to_dict(system), separators=(",", ":")))
+    for start in range(0, count, CHUNK):  # one chunk of generators alive at a time
+        for rng in streams(cfg["seed"], (), range(start, min(start + CHUNK, count))):
+            if cfg["kind"] == "ph":
+                system = sample_ph(spec, rng)
+            elif cfg["kind"] == "pht":
+                system = sample_pht(spec, rng)
+            else:
+                system = sample_uncontrollable(
+                    spec.dims, cfg["k"], rng, spec.field,
+                    j_scale=cfg["j_scale"], b_scale=cfg["b_scale"],
+                )
+            lines.append(json.dumps(system_to_dict(system), separators=(",", ":")))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

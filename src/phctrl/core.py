@@ -259,13 +259,14 @@ def pd_gate(H: np.ndarray, delta: float | None = None):
     """The positive definiteness rule over a stack (..., n, n) of
     self-adjoint H: the smallest eigenvalue of each, the margin it must
     reach (default_pd_delta when delta is None) and whether it falls
-    short of it."""
+    short of it.  A NaN eigenvalue or margin (H with non-finite entries)
+    falls short."""
     if delta is None:
         delta = default_pd_delta(H)
     elif not delta > 0:  # also NaN, which would pass every eigenvalue
         raise ValueError(f"delta must be positive, got {delta}")
     smallest = np.linalg.eigvalsh(H)[..., 0]
-    return smallest, delta, smallest < delta
+    return smallest, delta, ~(smallest >= delta)
 
 
 def validate_ph(sys: PHTSystem, delta: float | None = None) -> PHSystem:

@@ -59,7 +59,7 @@ from .sample import (
     Wishart,
     perturb_rows,
     sample_ph_rows,
-    stream,
+    streams,
 )
 
 PI_SQUARED_THIRD = math.pi ** 2 / 3.0
@@ -324,7 +324,7 @@ def run_nowhere_density_probe(base: PHSystem, eps_grid: Sequence[float],
         sigma_sum = 0.0
         for start in range(0, trials_per_eps, CHUNK):
             chunk = range(start, min(start + CHUNK, trials_per_eps))
-            moved = perturb_rows(base, pspec, [stream(seed, j, t) for t in chunk])
+            moved = perturb_rows(base, pspec, streams(seed, (j,), chunk))
             failures = {} if moved.failed is None else \
                 {moved.failed: PerturbationFailed(eps, max_retries)}
             sv, first_failure = _chunk_singular_values(

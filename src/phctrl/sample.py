@@ -5,18 +5,21 @@ types enforce, so every draw has exactly the required structure and the
 packed coordinates carry a jointly continuous density.
 
 Reproducibility: draws are made from splittable streams.  A master
-64-bit seed plus integer indices feed numpy's SeedSequence, so element
-i of a batch is bitwise reproducible regardless of batch size or
-scheduling.
+seed plus integer indices key numpy's SeedSequence, so element i of a
+batch is bitwise reproducible regardless of batch size or scheduling.
+The SeedSequence hash itself runs here, stacked over the rows of a
+chunk (streams), and gives the PCG64 state SeedSequence would.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     Dims,
@@ -33,11 +36,128 @@ from .errors import DegenerateDraw, NotPositiveDefinite, PerturbationFailed
 MAX_PD_RETRIES = 5
 
 
+# numpy's SeedSequence, which is O'Neill's seed_seq_fe (PCG family) with a
+# pool of four 32-bit words; all arithmetic is modulo 2^32.  A word is a
+# Python int or a uint32 array: the masks keep ints in 32 bits (arrays wrap
+# by themselves), and each product is masked before a subtraction because
+# an int beyond 32 bits cannot meet a uint32 array.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+
+
+def _hash_constants(const: int, mult: int):
+    """(before, after) hash constants of successive hash steps; each step
+    multiplies the constant by mult."""
+    while True:
+        after = const * mult & _MASK32
+        yield const, after
+        const = after
+
+
+def _hashmix(word, constants):
+    before, after = constants
+    word = (word ^ before) * after & _MASK32
+    return word ^ word >> 16
+
+
+def _mix(x, y):
+    word = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
+    return word ^ word >> 16
+
+
+def _seed_states(entropy: list) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4, np.uint64) for many rows at once.
+
+    entropy lists the 32-bit words of the entropy in order: a Python int
+    where the word is the same in every row, a uint32 array (one entry
+    per row) where it varies.  The hash constants evolve the same way for
+    every row of equal length, so the rows advance together through the
+    same uint32 operations and each gets SeedSequence's bits.  Returns a
+    (rows, 4) uint64 array; one row when every word is an int.
+    """
+    mixing = _hash_constants(0x43B0D7E5, 0x931E8875)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, next(mixing))
+            for i in range(_POOL)]
+    for src in range(_POOL):  # every pool word into every other one
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(mixing)))
+    for word in entropy[_POOL:]:  # words beyond the pool into each pool word
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, next(mixing)))
+    words = [_hashmix(pool[i % _POOL], c)
+             for i, c in zip(range(8), _hash_constants(0x8B51F9DD, 0x58F38DED))]
+    words = np.array(words, dtype=np.uint32).reshape(8, -1).T
+    # pairs of words, low word first, are the uint64 state words
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _uint32_words(value: int, name: str) -> list:
+    """A nonnegative integer as SeedSequence takes it: little-endian
+    32-bit words, at least one."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _key_words(seed: int, indices: Iterable[int]) -> list:
+    """The entropy words of the key (seed, *indices)."""
+    words = _uint32_words(seed, "seed")
+    for i in indices:
+        words += _uint32_words(i, "index")
+    return words
+
+
+class _HashedSeed(ISeedSequence):
+    """The one request PCG64 makes of its seed sequence,
+    generate_state(4, np.uint64), answered by a row of _seed_states."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only generate_state(4, np.uint64) is precomputed")
+        return self.state
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_HashedSeed(state)))
+
+
 def stream(seed: int, *indices: int) -> np.random.Generator:
-    """Deterministic generator for a (seed, index...) tuple."""
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *indices))))
+    """Deterministic generator for a (seed, index...) tuple: bitwise
+    Generator(PCG64(SeedSequence((seed, *indices)))), hashed as one row
+    of streams."""
+    return _generator(_seed_states(_key_words(seed, indices))[0])
+
+
+def streams(seed: int, prefix: Sequence[int],
+            indices: Iterable[int]) -> list[np.random.Generator]:
+    """[stream(seed, *prefix, i) for i in indices], hashed in one stacked
+    pass over the rows.
+
+    Rows are grouped by the number of 32-bit words their index takes
+    (one below 2^32), since the hash of each group is a fixed sequence of
+    uint32 operations.
+    """
+    head = _key_words(seed, prefix)
+    groups: dict[int, list] = {}
+    for row, i in enumerate(indices):
+        words = _uint32_words(i, "index")
+        groups.setdefault(len(words), []).append((row, words))
+    out: list = [None] * sum(map(len, groups.values()))
+    for group in groups.values():
+        rows, words = zip(*group)
+        tails = [np.array(column, dtype=np.uint32) for column in zip(*words)]
+        for row, state in zip(rows, _seed_states(head + tails)):
+            out[row] = _generator(state)
+    return out
 
 
 def _finite_positive(x: float) -> bool:
@@ -131,6 +251,26 @@ def _gauss(rng: np.random.Generator, shape, field: ScalarField) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
+def _gauss_rows(rngs: Sequence[np.random.Generator], shapes, field: ScalarField) -> list:
+    """Row r of the k-th result is _gauss(rngs[r], shapes[k], field), the
+    calls made in the order of shapes, from one standard_normal call per
+    row: the draws of one row are a single run of its stream."""
+    parts = 2 if field is ScalarField.COMPLEX else 1
+    Z = np.empty((len(rngs), parts * sum(map(math.prod, shapes))))
+    for rng, row in zip(rngs, Z):
+        rng.standard_normal(out=row)
+    out = []
+    at = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        part = Z[:, at:at + size].reshape(len(Z), *shape)
+        if parts == 2:
+            part = part + 1j * Z[:, at + size:at + 2 * size].reshape(len(Z), *shape)
+        out.append(part)
+        at += parts * size
+    return out
+
+
 def sample_pht(spec: SamplerSpec, rng: np.random.Generator) -> PHTSystem:
     """Gaussian draw on the ambient space of structured triples.
 
@@ -143,14 +283,21 @@ def sample_pht(spec: SamplerSpec, rng: np.random.Generator) -> PHTSystem:
     return PHTSystem(spec.dims, spec.field, J, H, B)
 
 
-def _draw_h(spec: SamplerSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    law = spec.h_law
+def _h_source_shape(law: HLaw, n: int) -> tuple:
+    """Shape of the Gaussian A that H is formed from."""
+    return (n, law.p if isinstance(law, Wishart) and law.p is not None else n)
+
+
+def _h_from_source(law: HLaw, A: np.ndarray) -> np.ndarray:
+    """H of the law from its source A, over a stack (..., n, p)."""
+    AA = A @ A.conj().swapaxes(-1, -2)
     if isinstance(law, Wishart):
-        p = law.p if law.p is not None else n
-        A = _gauss(rng, (n, p), spec.field)
-        return (A @ A.conj().T) / p
-    A = _gauss(rng, (n, n), spec.field)
-    return A @ A.conj().T + law.eps * np.eye(n)
+        return AA / A.shape[-1]
+    return AA + law.eps * np.eye(A.shape[-2])
+
+
+def _draw_h(spec: SamplerSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    return _h_from_source(spec.h_law, _gauss(rng, _h_source_shape(spec.h_law, n), spec.field))
 
 
 def _first_positive_definite(draw: Callable[[], PHTSystem]) -> PHSystem:
@@ -190,22 +337,26 @@ def sample_ph_rows(spec: SamplerSpec, indices: range):
     stacked arrays.
 
     Each trial draws from its own stream in the documented order, so its
-    J, H and B equal sample_ph's bit for bit; only the rows the gate
-    rejects redraw H and B, up to MAX_PD_RETRIES attempts.  Returns
-    stacked J, H, B and a dict from row to the DegenerateDraw of each
-    row that never passed (its arrays then hold the last attempt).
+    J, H and B equal sample_ph's bit for bit.  The first attempt of every
+    row is one standard_normal call (J source, H source, B) and its
+    products are formed on the stack; only the rows the gate rejects
+    redraw H and B, one at a time, up to MAX_PD_RETRIES attempts.
+    Returns stacked J, H, B and a dict from row to the DegenerateDraw of
+    each row that never passed (its arrays then hold the last attempt).
     """
     n, m = spec.dims.n, spec.dims.m
-    rngs = [stream(spec.seed, i) for i in indices]
-    J = spec.j_scale * skew_part(np.stack([_gauss(rng, (n, n), spec.field) for rng in rngs]))
-    H = np.empty(J.shape, dtype=spec.field.dtype)
-    B = np.empty(J.shape[:-1] + (m,), dtype=spec.field.dtype)
+    rngs = streams(spec.seed, (), indices)
+    J, A, B = _gauss_rows(rngs, ((n, n), _h_source_shape(spec.h_law, n), (n, m)), spec.field)
+    J = spec.j_scale * skew_part(J)
+    H = _h_from_source(spec.h_law, A)
+    B = spec.b_scale * B
     smallest = np.empty(len(rngs))
     pending = np.arange(len(rngs))
-    for _ in range(MAX_PD_RETRIES):
-        for k in pending:
-            H[k] = _draw_h(spec, rngs[k], n)
-            B[k] = spec.b_scale * _gauss(rngs[k], (n, m), spec.field)
+    for attempt in range(MAX_PD_RETRIES):
+        if attempt:  # a rejected row redraws from where its stream stands
+            for k in pending:
+                H[k] = _draw_h(spec, rngs[k], n)
+                B[k] = spec.b_scale * _gauss(rngs[k], (n, m), spec.field)
         drawn = sym_part(H[pending])
         H[pending] = drawn
         smallest[pending], _, rejected = pd_gate(drawn)
@@ -273,11 +424,12 @@ def perturb_rows(base: PHSystem, spec: PerturbationSpec,
     on the stacked candidates.
 
     Each row draws DJ, DH and DB from its own stream in the documented
-    order (J source, H source, B) and takes their norms one row at a
-    time, so every row equals a lone perturbation bit for bit.  A row the
-    gate rejects halves its step (same direction) and is tried again, up
-    to spec.max_retries halvings; the other rows keep theirs.  epsilon = 0
-    gives the base in every row without consuming randomness.
+    order (J source, H source, B), in one standard_normal call, and takes
+    their norms one row at a time, so every row equals a lone
+    perturbation bit for bit.  A row the gate rejects halves its step
+    (same direction) and is tried again, up to spec.max_retries halvings;
+    the other rows keep theirs.  epsilon = 0 gives the base in every row
+    without consuming randomness.
     """
     n, m = base.dims.n, base.dims.m
     field = base.field
@@ -289,13 +441,7 @@ def perturb_rows(base: PHSystem, spec: PerturbationSpec,
                                for a in (base.J, base.H, base.B)),
                              np.full(rows, base.pd_margin), eps_used, halvings, None)
 
-    DJ = np.empty((rows, n, n), dtype=field.dtype)
-    DH = np.empty_like(DJ)
-    DB = np.empty((rows, n, m), dtype=field.dtype)
-    for r, rng in enumerate(rngs):
-        DJ[r] = _gauss(rng, (n, n), field)
-        DH[r] = _gauss(rng, (n, n), field)
-        DB[r] = _gauss(rng, (n, m), field)
+    DJ, DH, DB = _gauss_rows(rngs, ((n, n), (n, n), (n, m)), field)
     DJ = spec.j_scale * skew_part(DJ)
     DH = spec.h_scale * sym_part(DH)
     DB = spec.b_scale * DB

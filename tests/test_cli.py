@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from phctrl.cli import main
-from phctrl.core import loads_system, system_to_dict
+from phctrl.core import Dims, loads_system, system_to_dict
 from phctrl.ctrb import canonical_witness
-from phctrl.experiments import stable_json
+from phctrl.experiments import CHUNK, stable_json
+from phctrl.sample import SamplerSpec, sample_ph, stream
 
 
 def run(capsys, *argv):
@@ -155,6 +156,18 @@ class TestSample:
         for line in lines:
             system = loads_system(line)
             assert system.dims.n == 3 and system.dims.m == 2
+
+    def test_line_i_draws_from_stream_i_across_chunks(self, capsys):
+        # the streams are hashed one chunk at a time; line i is still
+        # sample_ph on stream(seed, i)
+        count = CHUNK + 2
+        code, out, _ = run(capsys, "sample", "--n", "2", "--m", "1", "--count", str(count),
+                           "--seed", "12")
+        assert code == 0
+        spec = SamplerSpec(Dims(2, 1), seed=12)
+        assert out.splitlines() == [
+            json.dumps(system_to_dict(sample_ph(spec, stream(12, i))), separators=(",", ":"))
+            for i in range(count)]
 
     def test_uncontrollable_kind(self, capsys):
         code, out, _ = run(capsys, "sample", "--kind", "uncontrollable",

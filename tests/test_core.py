@@ -228,6 +228,14 @@ class TestValidatePh:
         with pytest.raises(ValueError):
             validate_ph(sys, delta=float("nan"))
 
+    def test_infinite_h_rejected(self):
+        # PHTSystem takes the entry unchecked; eigvalsh and the default
+        # margin are then NaN, which must fall short rather than pass
+        sys = PHTSystem(Dims(2, 1), ScalarField.REAL, np.zeros((2, 2)),
+                        np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones((2, 1)))
+        with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite):
+            validate_ph(sys)
+
     def test_margin_from_eigenvalues(self):
         # eigenvalues of [[2,1],[1,2]] are 1 and 3
         sys = validate_pht(J2, [[2.0, 1.0], [1.0, 2.0]], B2)

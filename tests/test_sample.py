@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import phctrl.core as core_mod
 import phctrl.sample as sample_mod
 from phctrl.core import (
     Dims,
@@ -23,9 +24,11 @@ from phctrl.sample import (
     perturb,
     perturb_rows,
     sample_ph,
+    sample_ph_rows,
     sample_pht,
     sample_uncontrollable,
     stream,
+    streams,
 )
 from phctrl.vectorize import pack
 
@@ -87,6 +90,116 @@ class TestDeterminism:
         r2 = perturb(base, pspec, stream(7, 1))
         assert r1.system == r2.system
         assert r1.eps_used == r2.eps_used
+
+
+def seed_sequence_generator(*key):
+    """The oracle: numpy's own SeedSequence for the key."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def same_stream(rng, oracle):
+    return (rng.bit_generator.state == oracle.bit_generator.state
+            and rng.standard_normal(16).tobytes() == oracle.standard_normal(16).tobytes())
+
+
+class TestStreams:
+    """streams(seed, prefix, indices) is [stream(seed, *prefix, i) for i in
+    indices], and both are Generator(PCG64(SeedSequence(key))) bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 + 5])
+    @pytest.mark.parametrize("prefix", [(), (4,), (6, 2, 3)], ids=["none", "j", "n-m-k"])
+    @pytest.mark.parametrize("indices", [range(0, 5), range(2**32 - 2, 2**32 + 2)],
+                             ids=["from-0", "across-2^32"])
+    def test_equal_seed_sequence(self, seed, prefix, indices):
+        rngs = streams(seed, prefix, indices)
+        assert len(rngs) == len(indices)
+        for rng, i in zip(rngs, indices):
+            assert same_stream(rng, seed_sequence_generator(seed, *prefix, i))
+            assert same_stream(stream(seed, *prefix, i), seed_sequence_generator(seed, *prefix, i))
+        assert same_stream(stream(seed, *prefix), seed_sequence_generator(seed, *prefix))
+
+    def test_mixed_word_counts_keep_their_order(self):
+        # indices of one, two and three 32-bit words hash in separate groups
+        indices = [2**70, 0, 2**33 + 1, 5, 2**64, 2**32 - 1]
+        rngs = streams(9, (2**40, 1), indices)
+        for rng, i in zip(rngs, indices):
+            assert same_stream(rng, seed_sequence_generator(9, 2**40, 1, i))
+
+    def test_numpy_integers_accepted(self):
+        rngs = streams(np.uint64(3), (np.int32(1),), np.arange(3))
+        for rng, i in zip(rngs, range(3)):
+            assert same_stream(rng, seed_sequence_generator(3, 1, i))
+
+    def test_empty_range(self):
+        assert streams(0, (1,), range(0)) == []
+
+    def test_negative_seed_or_index_refused(self):
+        for call in (lambda: stream(-1), lambda: stream(0, 2, -1),
+                     lambda: streams(-1, (), range(2)), lambda: streams(0, (-1,), range(2)),
+                     lambda: streams(0, (), [1, -1])):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                call()
+
+    def test_non_integer_refused(self):
+        with pytest.raises(TypeError):
+            stream(0, 1.5)
+        with pytest.raises(TypeError):
+            streams(0, (), [0.5])
+
+
+class TestSamplePhRows:
+    """Row k of sample_ph_rows(spec, indices) is sample_ph(spec,
+    stream(seed, indices[k])) bit for bit: one draw per row, the products
+    on the stack, and per-row retries that continue the row's stream."""
+
+    @staticmethod
+    def assert_rows_equal(spec, indices, rows):
+        J, H, B, degenerate = rows
+        for k, i in enumerate(indices):
+            try:
+                lone = sample_ph(spec, stream(spec.seed, i))
+            except DegenerateDraw as e:
+                assert str(degenerate[k]) == str(e)
+                continue
+            assert k not in degenerate
+            assert J[k].tobytes() == lone.J.tobytes()
+            assert H[k].tobytes() == lone.H.tobytes()
+            assert B[k].tobytes() == lone.B.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("field", list(ScalarField))
+    @pytest.mark.parametrize("law", ["wishart", "wishart-p", "gram"])
+    def test_rows_equal_sample_ph(self, n, field, law):
+        h_law = {"wishart": Wishart(), "wishart-p": Wishart(n + 3),
+                 "gram": ShiftedGram(0.5)}[law]
+        spec = SamplerSpec(Dims(n, 1 + n % 3), field=field, h_law=h_law, j_scale=0.7,
+                           b_scale=1.5, seed=600 + n)
+        indices = range(3, 12)
+        rows = sample_ph_rows(spec, indices)
+        assert not rows[3]
+        self.assert_rows_equal(spec, indices, rows)
+
+    @pytest.mark.parametrize("field", list(ScalarField))
+    def test_forced_retries(self, monkeypatch, field):
+        # a raised floor rejects about half the first attempts and, for a
+        # few rows, every attempt; both paths read the same gate
+        gate = core_mod.pd_gate
+        rejections = []
+
+        def raised_floor(H, delta=None):
+            smallest, delta, rejected = gate(H, delta)
+            rejected = rejected | (smallest < 0.3)
+            rejections.append(int(np.count_nonzero(rejected)))
+            return smallest, delta, rejected
+
+        monkeypatch.setattr(core_mod, "pd_gate", raised_floor)
+        monkeypatch.setattr(sample_mod, "pd_gate", raised_floor)
+        spec = SamplerSpec(Dims(2, 1), field=field, seed=620)
+        indices = range(60)
+        rows = sample_ph_rows(spec, indices)
+        assert rejections[0] > 0 and len(rejections) > 1
+        assert rows[3]  # some row ran out of attempts
+        self.assert_rows_equal(spec, indices, rows)
 
 
 class TestStructurePreservation:
@@ -218,6 +331,24 @@ class TestPerturb:
             [[0.0, -1.0], [1.0, 0.0]], np.eye(2) * 1e-10, [[1.0], [0.0]]))
         with pytest.raises(PerturbationFailed):
             perturb(base, PerturbationSpec(epsilon=10.0, max_retries=0), stream(410))
+
+    def test_infinite_candidate_never_passes(self):
+        # a step to about 1.7e308 overflows H to Inf; its NaN eigenvalue
+        # must fail the gate, never pass with pd_margin NaN
+        base = validate_ph(PHTSystem(Dims(2, 1), ScalarField.REAL, np.zeros((2, 2)),
+                                     5e307 * np.eye(2), np.ones((2, 1))))
+        spec = PerturbationSpec(1.7e308, max_retries=0)
+        failed = 0
+        for t in range(8):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    result = perturb(base, spec, stream(1, t))
+                except PerturbationFailed:
+                    failed += 1
+                    continue
+            assert np.isfinite(result.system.H).all()
+            assert not np.isnan(result.system.pd_margin)
+        assert failed > 0
 
     def test_escapes_uncontrollable_set(self):
         # arbitrarily small structured steps restore controllability
